@@ -21,7 +21,6 @@ if __name__ == "__main__":
         cli(
             [
                 "oracle",
-                "--A", "0", "--alpha", "0",
                 "--seed", str(args.seed),
                 "--cases", str(args.cases),
                 "--out", args.out,

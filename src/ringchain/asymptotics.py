@@ -14,20 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import ChainParams, f_single, lambda_small
-from .errors import FitFailed, FlatBandPole, InsideBand
+from .core import ChainParams, f_single, f_single_vec, find_roots, lambda_small, lambda_small_vec
+from .errors import FitFailed
 from .impurity import (
-    EDGE_DISCARD,
-    ImpurityState,
-    PerturbationPattern,
-    _gap_grid,
-    gap0_scan_floor,
-    solve_gap,
+    EDGE_DISCARD, ImpurityState, PerturbationPattern, _gap_grid, gap0_scan_floor, interior_states, solve_gap,
 )
 
 R2_REQUIRED = 0.99
+SCAN_POINTS = 400       # base scan resolution per gap piece
 
 
 @dataclass(frozen=True)
@@ -95,23 +90,12 @@ def _least_squares_line(xs, ys) -> FitReport:
     return FitReport(float(slope), float(intercept), r2, tuple(zip(xs.tolist(), ys.tolist())))
 
 
-def _bracket_on_gap(func, gap, floor_hint=None, n_base=400):
-    """Bracket roots of a scalar function on the interior of a gap piece."""
+def _gap_scan_grid(gap, pattern: PerturbationPattern, params: ChainParams) -> np.ndarray:
+    """Scan grid on a gap piece; gap 0 starts at the pattern's certified floor."""
     lo, hi = gap
     if math.isinf(lo):
-        lo = floor_hint if floor_hint is not None else hi - 4.0
-    grid = _gap_grid(lo, hi, n_base)
-    vals = np.empty(len(grid))
-    for i, E in enumerate(grid):
-        try:
-            vals[i] = func(float(E))
-        except (InsideBand, FlatBandPole):
-            vals[i] = math.nan
-    out = []
-    idx = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-    for i in idx:
-        out.append((float(grid[i]), float(grid[i + 1])))
-    return out
+        lo = gap0_scan_floor(pattern, params)
+    return _gap_grid(lo, hi, SCAN_POINTS)
 
 
 def weak_predictor(
@@ -127,18 +111,9 @@ def weak_predictor(
     target = problem.epsilon * problem.gamma_sum
     if target == 0.0:
         return None
-
-    def g(E: float) -> float:
-        return f_single(E, params) - target
-
-    floor = None
-    if math.isinf(gap[0]):
-        floor = gap0_scan_floor(problem.pattern(), params)
-    brackets = _bracket_on_gap(g, gap, floor_hint=floor)
-    if not brackets:
-        return None
-    lo, hi = brackets[0]
-    return float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    roots = find_roots(lambda E: f_single_vec(E, params) - target, lambda E: f_single(E, params) - target,
+                       _gap_scan_grid(gap, problem.pattern(), params), 1e-15)
+    return roots[0] if roots else None
 
 
 def weak_exact(
@@ -212,6 +187,19 @@ def distant_residual(E: float, pair: DistantPair, params: ChainParams) -> float:
     return (f / pair.gamma1 - 1.0) * (f / pair.gamma2 - 1.0) - power
 
 
+def distant_residual_vec(E, pair: DistantPair, params: ChainParams) -> np.ndarray:
+    """distant_residual over an array of energies; NaN where it raises."""
+    f = f_single_vec(E, params)
+    lam = np.abs(lambda_small_vec(E, params.alpha, params))
+    power = lam**2 if pair.n == 0 else np.exp((2 * pair.n + 2) * np.log(lam))
+    return (f / pair.gamma1 - 1.0) * (f / pair.gamma2 - 1.0) - power
+
+
+def _pair_branch(f, lam, pair: DistantPair, sign: float):
+    """f - gamma*(1 + sign*|lambda|^(n+1)) for an equal pair; scalar or array."""
+    return f - pair.gamma1 * (1.0 + sign * abs(lam) ** (pair.n + 1))
+
+
 def distant_solve(
     pair: DistantPair,
     gap: tuple[float, float],
@@ -225,36 +213,18 @@ def distant_solve(
     the two branches are solved separately, which keeps exponentially close
     pairs resolvable.  Unequal strengths use a direct sign scan.
     """
-    floor = None
-    if math.isinf(gap[0]):
-        floor = gap0_scan_floor(pair.pattern(), params)
-
+    grid = _gap_scan_grid(gap, pair.pattern(), params)
     if pair.gamma1 == pair.gamma2:
         roots = []
         for sign in (1.0, -1.0):
-
-            def g(E: float, sign=sign) -> float:
-                lam = lambda_small(E, params.alpha, params)
-                return f_single(E, params) - pair.gamma1 * (1.0 + sign * abs(lam) ** (pair.n + 1))
-
-            for lo, hi in _bracket_on_gap(g, gap, floor_hint=floor):
-                roots.append(float(brentq(g, lo, hi, xtol=tol_root, rtol=8.9e-16)))
+            roots += find_roots(
+                lambda E: _pair_branch(f_single_vec(E, params), lambda_small_vec(E, params.alpha, params), pair, sign),
+                lambda E: _pair_branch(f_single(E, params), lambda_small(E, params.alpha, params), pair, sign),
+                grid, tol_root)
     else:
-        roots = [
-            float(brentq(lambda E: distant_residual(E, pair, params), lo, hi, xtol=tol_root, rtol=8.9e-16))
-            for lo, hi in _bracket_on_gap(lambda E: distant_residual(E, pair, params), gap, floor_hint=floor)
-        ]
-
-    out = []
-    for r in sorted(roots):
-        if math.isfinite(gap[0]) and r - gap[0] < EDGE_DISCARD:
-            continue
-        if gap[1] - r < EDGE_DISCARD:
-            continue
-        out.append(
-            ImpurityState(E=r, gap_index=gap_index, residual=abs(distant_residual(r, pair, params)))
-        )
-    return out
+        roots = find_roots(lambda E: distant_residual_vec(E, pair, params),
+                           lambda E: distant_residual(E, pair, params), grid, tol_root)
+    return interior_states(sorted(roots), gap, gap_index, lambda E: distant_residual(E, pair, params))
 
 
 def splitting_rate(
@@ -275,13 +245,12 @@ def splitting_rate(
         raise FitFailed("need at least 4 separations")
     gamma = pair_template.gamma1
 
-    floor = None
-    if math.isinf(gap[0]):
-        floor = gap0_scan_floor(pair_template.pattern(), params)
-    brackets = _bracket_on_gap(lambda E: f_single(E, params) - gamma, gap, floor_hint=floor)
-    if not brackets:
+    # brentq's default rtol, which the polish of E* has always used
+    roots = find_roots(lambda E: f_single_vec(E, params) - gamma, lambda E: f_single(E, params) - gamma,
+                       _gap_scan_grid(gap, pair_template.pattern(), params), 1e-14, rtol=4 * np.finfo(float).eps)
+    if not roots:
         raise FitFailed("no limiting root f(E) = gamma in this gap")
-    E_star = float(brentq(lambda E: f_single(E, params) - gamma, *brackets[0], xtol=1e-14))
+    E_star = roots[0]
     ref = math.log(abs(lambda_small(E_star, params.alpha, params)))
 
     xs, ys = [], []

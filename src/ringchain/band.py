@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import ChainParams, c_kernel, s_kernel, xi_background
+from .core import ChainParams, c_kernel, find_roots, kernels_vec, s_kernel, xi_background, xi_vec
 from .errors import CutoffTooSmall, HalfIntegerFlux
 
 TOL_ROOT = 1e-10
@@ -42,6 +41,11 @@ def flux_regime(params: ChainParams) -> str:
     return REGIME_MAGNETIC
 
 
+def json_endpoint(v: float) -> float | None:
+    """An interval end for JSON: semi-infinite ends become null."""
+    return None if math.isinf(v) else v
+
+
 @dataclass(frozen=True)
 class FlatBand:
     E: float
@@ -64,13 +68,10 @@ class SpectrumLayout:
         return None
 
     def to_json_dict(self) -> dict:
-        def _num(v):
-            return None if math.isinf(v) else v
-
         return {
             "regime": self.regime,
             "bands": [[lo, hi] for lo, hi in self.bands],
-            "gaps": [[_num(lo), _num(hi)] for lo, hi in self.gaps],
+            "gaps": [[json_endpoint(lo), json_endpoint(hi)] for lo, hi in self.gaps],
             "flat": [{"E": fb.E, "tag": fb.tag} for fb in self.flat_bands],
         }
 
@@ -114,22 +115,10 @@ def _scan_grid(params: ChainParams, cutoff: float, kappa_floor: float) -> np.nda
 
 def _edge_roots(params: ChainParams, grid: np.ndarray, tol_root: float) -> list[float]:
     """All roots of xi(E) = +-1 bracketed by sign changes on the grid."""
+    vals = xi_vec(grid, params.alpha, params)   # one scan serves both targets
     roots: list[float] = []
-    vals = np.array([xi_background(float(E), params) for E in grid])
     for target in (1.0, -1.0):
-        g = vals - target
-        sign_change = np.nonzero(g[:-1] * g[1:] < 0)[0]
-        for i in sign_change:
-            r = brentq(
-                lambda E: xi_background(E, params) - target,
-                float(grid[i]),
-                float(grid[i + 1]),
-                xtol=tol_root,
-                rtol=8.9e-16,
-            )
-            roots.append(float(r))
-        exact = np.nonzero(g == 0.0)[0]
-        roots.extend(float(grid[i]) for i in exact)
+        roots += find_roots(lambda _: vals - target, lambda E: xi_background(E, params) - target, grid, tol_root)
     return sorted(roots)
 
 
@@ -182,7 +171,7 @@ def band_edges(params: ChainParams, cutoff: float, tol_root: float = TOL_ROOT) -
         # cannot happen: floor is certified gap territory
         raise CutoffTooSmall("scan floor landed inside a band")
 
-    flats = [float(n * n) for n in range(1, int(math.sqrt(max(cutoff, 0.0))) + 1) if n * n <= cutoff]
+    flats = flat_band_energies(params, cutoff)
 
     # split gaps at interior flat-band energies
     split: list[tuple[float, float]] = []
@@ -229,17 +218,12 @@ def flat_band_energies(params: ChainParams, cutoff: float, tol_root: float = TOL
     if not params.is_half_integer_flux:
         return flats
 
-    def numerator(E: float) -> float:
-        return c_kernel(E) + 0.25 * params.alpha * s_kernel(E)
+    def numerator_vec(E):
+        c, s = kernels_vec(E)
+        return c + 0.25 * params.alpha * s
 
-    kappa_floor = negative_scan_floor(params)
-    grid = _scan_grid(params, cutoff, kappa_floor)
-    vals = np.array([numerator(float(E)) for E in grid])
-    roots = []
-    sign_change = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-    for i in sign_change:
-        r = brentq(numerator, float(grid[i]), float(grid[i + 1]), xtol=tol_root, rtol=8.9e-16)
-        roots.append(float(r))
+    roots = find_roots(numerator_vec, lambda E: c_kernel(E) + 0.25 * params.alpha * s_kernel(E),
+                       _scan_grid(params, cutoff, negative_scan_floor(params)), tol_root)
     merged = sorted(set(roots) | set(flats))
     # drop duplicates within tolerance
     out: list[float] = []

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -110,18 +109,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--tol-root", type=_positive_float, default=band.TOL_ROOT)
     p.add_argument("--cutoff", type=float, default=25.0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-
-
-def _first_band_point(task):
-    cos_flux, A, alpha, tol = task
-    if cos_flux is not None:
-        p = ChainParams.from_cos_flux(cos_flux, alpha)
-    else:
-        p = ChainParams(A, alpha)
-    lo, hi = band.first_band(p, tol_root=tol)
-    return lo, hi
 
 
 def cmd_bands(args) -> int:
@@ -135,12 +123,7 @@ def cmd_bands(args) -> int:
     if args.alpha_sweep is not None:
         params0 = _params_from(args)  # validates the flux spec
         alphas = _parse_sweep(args.alpha_sweep)
-        tasks = [(args.cosA, args.A, float(a), args.tol_root) for a in alphas]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                edges = list(ex.map(_first_band_point, tasks, chunksize=32))
-        else:
-            edges = [_first_band_point(t) for t in tasks]
+        edges = [band.first_band(params0.with_alpha(float(a)), tol_root=args.tol_root) for a in alphas]
         config = (
             f"bands alpha-sweep cosA={_fmt(params0.cos_flux)} sweep={args.alpha_sweep} "
             f"tol_root={_fmt(args.tol_root)}"

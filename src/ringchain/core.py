@@ -1,4 +1,5 @@
-"""Branch-safe evaluation of the dispersion function and derived scalars.
+"""Branch-safe evaluation of the dispersion function and derived scalars,
+over single energies and over arrays, and the grid root enumerator.
 
 Energies parametrize everything directly: E = k^2 with k = sqrt(E) for
 E > 0 (principal branch) and k = i*kappa, kappa = sqrt(-E) > 0, for E < 0.
@@ -23,12 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy.optimize import brentq
+
 from .errors import FlatBandPole, HalfIntegerFlux, InsideBand
 
 # cos(A*pi) below this is treated as exactly zero (half-integer flux)
 TOL_HALF = 1e-12
 # |k - round(k)| below this flags the excluded set E = n^2
 TOL_FLAT = 1e-12
+# relative brentq tolerance of the root polishes
+RTOL_ROOT = 8.9e-16
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,12 @@ class ChainParams:
     @property
     def is_non_magnetic(self) -> bool:
         return abs(abs(self.cos_flux) - 1.0) < TOL_HALF
+
+    def with_alpha(self, alpha: float) -> "ChainParams":
+        """The same flux, cos(A*pi) kept bit for bit, with another coupling."""
+        p = ChainParams(self.A, alpha)
+        object.__setattr__(p, "cos_flux", self.cos_flux)
+        return p
 
     @property
     def flux_phase(self) -> complex:
@@ -136,15 +148,17 @@ def c_kernel(E: float) -> float:
     return cos_k(E, math.pi)
 
 
-def xi(E: float, coupling: float, params: ChainParams) -> float:
+def xi(E: float, coupling: float, params: ChainParams, kernels=None) -> float:
     """Dispersion function (cos k*pi + (coupling/4k) sin k*pi)/cos(A*pi).
 
     The spectrum of the periodic operator is {E : |xi(E, alpha)| <= 1}
-    plus the flat bands.  Undefined at half-integer flux.
+    plus the flat bands.  Undefined at half-integer flux.  kernels =
+    (c_kernel(E), s_kernel(E)) may be passed to reuse them across couplings.
     """
     if params.is_half_integer_flux:
         raise HalfIntegerFlux("xi undefined: cos(A*pi) = 0")
-    return (c_kernel(E) + 0.25 * coupling * s_kernel(E)) / params.cos_flux
+    c, s = (c_kernel(E), s_kernel(E)) if kernels is None else kernels
+    return (c + 0.25 * coupling * s) / params.cos_flux
 
 
 def xi_background(E: float, params: ChainParams) -> float:
@@ -174,11 +188,7 @@ def lambda_pair(E: float, coupling: float, params: ChainParams) -> tuple[float, 
 
 def lambda_small(E: float, coupling: float, params: ChainParams) -> float:
     """The Floquet multiplier of modulus < 1: xi - sgn(xi)*sqrt(xi^2 - 1)."""
-    x = xi(E, coupling, params)
-    if abs(x) <= 1.0:
-        raise InsideBand(f"|xi| = {abs(x)} <= 1 at E = {E}")
-    s = 1.0 if x > 0 else -1.0
-    return s / (abs(x) + math.sqrt(x * x - 1.0))
+    return min(lambda_pair(E, coupling, params), key=abs)
 
 
 def f_single(E: float, params: ChainParams) -> float:
@@ -198,3 +208,66 @@ def f_single(E: float, params: ChainParams) -> float:
     s = s_kernel(E)
     sgn = 1.0 if x > 0 else -1.0
     return -sgn * (4.0 * params.cos_flux / s) * math.sqrt(x * x - 1.0)
+
+
+# -- array kernels: the same quantities over arrays of energies, NaN where the
+# scalar kernel raises InsideBand or FlatBandPole.  numpy's transcendentals
+# may differ from math's in the last bit, so find_roots polishes on scalars.
+
+
+def flat_band_mask(E) -> np.ndarray:
+    """on_flat_band over an array of energies."""
+    E = np.asarray(E, dtype=float)
+    mag = np.sqrt(np.abs(E))
+    n = np.round(mag)
+    return (E > 0.0) & (np.abs(mag - n) < TOL_FLAT) & (n >= 1)
+
+
+def kernels_vec(E) -> tuple[np.ndarray, np.ndarray]:
+    """(c_kernel, s_kernel) over an array of energies."""
+    E = np.asarray(E, dtype=float)
+    k = np.sqrt(np.abs(E))
+    pos, neg = E > 0.0, E < 0.0
+    c, s = np.ones_like(E), np.full_like(E, math.pi)
+    c[pos], s[pos] = np.cos(k[pos] * math.pi), np.sin(k[pos] * math.pi) / k[pos]
+    c[neg], s[neg] = np.cosh(k[neg] * math.pi), np.sinh(k[neg] * math.pi) / k[neg]
+    return c, s
+
+
+def xi_vec(E, coupling: float, params: ChainParams, kernels=None) -> np.ndarray:
+    """xi over an array of energies; pass kernels = kernels_vec(E) to reuse them."""
+    if params.is_half_integer_flux:
+        raise HalfIntegerFlux("xi undefined: cos(A*pi) = 0")
+    c, s = kernels_vec(E) if kernels is None else kernels
+    return (c + 0.25 * coupling * s) / params.cos_flux
+
+
+def lambda_small_vec(E, coupling: float, params: ChainParams, kernels=None) -> np.ndarray:
+    """lambda_small over an array of energies; NaN inside bands."""
+    x = xi_vec(E, coupling, params, kernels)
+    with np.errstate(invalid="ignore"):
+        lam = np.sign(x) / (np.abs(x) + np.sqrt(x * x - 1.0))
+    return np.where(np.abs(x) > 1.0, lam, np.nan)
+
+
+def f_single_vec(E, params: ChainParams) -> np.ndarray:
+    """f_single over an array of energies; NaN inside bands and on flat bands."""
+    E = np.asarray(E, dtype=float)
+    c, s = kernels_vec(E)
+    x = xi_vec(E, params.alpha, params, (c, s))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = -np.sign(x) * (4.0 * params.cos_flux / s) * np.sqrt(x * x - 1.0)
+    return np.where((np.abs(x) > 1.0) & ~flat_band_mask(E), f, np.nan)
+
+
+def find_roots(F_vec, F_scalar, grid: np.ndarray, xtol: float, rtol: float = RTOL_ROOT) -> list[float]:
+    """All roots of F that the grid resolves, ascending: every sign change
+    of F_vec(grid) (NaN where F is undefined) polished by brentq on
+    F_scalar, and the grid points where F_vec is exactly zero."""
+    vals = F_vec(grid)
+    roots = [
+        float(brentq(F_scalar, float(grid[i]), float(grid[i + 1]), xtol=xtol, rtol=rtol))
+        for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]
+    ]
+    roots.extend(float(E) for E in grid[vals == 0.0])
+    return sorted(roots)

@@ -20,7 +20,7 @@ from . import band as band_mod
 from . import impurity as impurity_mod
 from . import oracle as oracle_mod
 from .core import ChainParams, lambda_small
-from .errors import SolverNoConvergence
+from .errors import RingChainError, SolverNoConvergence
 
 TOL_RAW = 1e-4        # plain finest-grid agreement
 TOL_RICH = 1e-6       # Richardson-extrapolated agreement
@@ -113,7 +113,7 @@ def run_cases(
         try:
             layout = band_mod.band_edges(params, 12.0)
             roots = admissible_roots(params, gammas, layout)
-        except Exception:
+        except RingChainError:
             continue
         if not roots:
             continue

@@ -20,19 +20,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import band as band_mod
 from .core import (
-    ChainParams,
-    f_single,
-    lambda_small,
-    on_flat_band,
-    s_kernel,
-    xi,
-    xi_background,
+    ChainParams, c_kernel, f_single, find_roots, flat_band_mask, kernels_vec, lambda_small, lambda_small_vec,
+    on_flat_band, s_kernel, xi, xi_background, xi_vec,
 )
-from .errors import FlatBandPole, InsideBand
+from .errors import FlatBandPole
 from .transfer import PQState, pq_advance
 
 EDGE_DISCARD = 1e-8     # roots this close to a gap edge are band, not bound
@@ -81,10 +75,26 @@ def char_residual(E: float, pattern: PerturbationPattern, params: ChainParams) -
     if on_flat_band(E):
         raise FlatBandPole(f"characteristic equation undefined at E = {E}")
     lam = lambda_small(E, params.alpha, params)
+    kernels = (c_kernel(E), s_kernel(E))
     state = PQState.seed()
     for g in pattern.gammas:
-        state = pq_advance(state, xi(E, params.alpha + g, params))
+        state = pq_advance(state, xi(E, params.alpha + g, params, kernels))
     return state.Q_prev * lam * lam - (state.P_prev + state.Q) * lam + state.P
+
+
+def char_residual_vec(E, pattern: PerturbationPattern, params: ChainParams) -> np.ndarray:
+    """char_residual over an array of energies; NaN inside bands and on
+    flat bands.  The P/Q recursion advances the whole array per vertex."""
+    E = np.asarray(E, dtype=float)
+    kernels = kernels_vec(E)
+    lam = lambda_small_vec(E, params.alpha, params, kernels)
+    state = PQState.seed()
+    # long patterns overflow far below the first band, as the scalar recursion does
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in pattern.gammas:
+            state = pq_advance(state, xi_vec(E, params.alpha + g, params, kernels))
+        res = state.Q_prev * lam * lam - (state.P_prev + state.Q) * lam + state.P
+    return np.where(flat_band_mask(E), np.nan, res)
 
 
 def gap0_scan_floor(pattern: PerturbationPattern, params: ChainParams) -> float:
@@ -94,10 +104,7 @@ def gap0_scan_floor(pattern: PerturbationPattern, params: ChainParams) -> float:
     lowers the quadratic form, so no perturbed eigenvalue can lie below
     the first band of that uniform chain.
     """
-    weakest = params.alpha + min(0.0, min(pattern.gammas))
-    p_w = ChainParams(params.A, weakest)
-    object.__setattr__(p_w, "cos_flux", params.cos_flux)
-    lo, _ = band_mod.first_band(p_w)
+    lo, _ = band_mod.first_band(params.with_alpha(params.alpha + min(0.0, min(pattern.gammas))))
     return lo - 1e-6
 
 
@@ -128,43 +135,28 @@ def solve_gap(
     """All characteristic-equation roots strictly inside one gap piece.
 
     Sign-scans char_residual on an edge-refined grid and bisects each
-    bracket; roots within edge_margin of a gap edge are discarded (those
-    are band states, not bound states).
+    bracket; roots within edge_margin of a gap edge are discarded.  Stored
+    gap edges carry the band-edge root tolerance, so grid points hugging
+    an edge can spill into the band; the scan masks those as NaN.
     """
     lo, hi = gap
     if math.isinf(lo):
         lo = min(gap0_scan_floor(pattern, params), hi - 1e-9)
 
-    grid = _gap_grid(lo, hi, grid_points)
-    vals = np.empty(len(grid))
-    for i, E in enumerate(grid):
-        # stored gap edges carry the band-edge root tolerance, so points
-        # hugging an edge can spill into the band; mask those out
-        try:
-            vals[i] = char_residual(float(E), pattern, params)
-        except (InsideBand, FlatBandPole):
-            vals[i] = math.nan
+    roots = find_roots(lambda E: char_residual_vec(E, pattern, params), lambda E: char_residual(E, pattern, params),
+                       _gap_grid(lo, hi, grid_points), tol_root)
+    return interior_states(roots, gap, gap_index, lambda E: char_residual(E, pattern, params), edge_margin)
 
-    roots: list[float] = []
-    idx = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-    for i in idx:
-        r = brentq(
-            lambda E: char_residual(E, pattern, params),
-            float(grid[i]),
-            float(grid[i + 1]),
-            xtol=tol_root,
-            rtol=8.9e-16,
-        )
-        roots.append(float(r))
 
-    out = []
-    for r in sorted(roots):
-        if math.isfinite(gap[0]) and r - gap[0] < edge_margin:
-            continue
-        if gap[1] - r < edge_margin:
-            continue
-        out.append(ImpurityState(E=r, gap_index=gap_index, residual=abs(char_residual(r, pattern, params))))
-    return out
+def interior_states(roots, gap, gap_index: int, residual, edge_margin: float = EDGE_DISCARD) -> list[ImpurityState]:
+    """The roots as bound states, except those within edge_margin of a
+    gap edge (those are band states, not bound states)."""
+    lo, hi = gap
+    return [
+        ImpurityState(E=r, gap_index=gap_index, residual=abs(residual(r)))
+        for r in roots
+        if not (math.isfinite(lo) and r - lo < edge_margin) and hi - r >= edge_margin
+    ]
 
 
 def f_pm(E: float, gamma1: float, gamma2: float, params: ChainParams) -> tuple[float, float]:
@@ -244,16 +236,13 @@ def results_json_dict(
     layout: band_mod.SpectrumLayout,
     states: Sequence[ImpurityState],
 ) -> dict:
-    def _num(v):
-        return None if math.isinf(v) else v
-
     gaps = []
     for i, (lo, hi) in enumerate(layout.gaps):
         here = [s for s in states if s.gap_index == i]
         gaps.append(
             {
                 "index": i,
-                "interval": [_num(lo), _num(hi)],
+                "interval": [band_mod.json_endpoint(lo), band_mod.json_endpoint(hi)],
                 "states": [{"E": s.E, "residual": s.residual} for s in here],
             }
         )

@@ -71,14 +71,6 @@ class TestBands:
         assert rc1 == rc2 == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_sweep_parallel_matches_serial(self, tmp_path):
-        rc1, out1 = run(
-            tmp_path, "bands", "--cosA", "0.7", "--alpha-sweep", "-1:0:0.1", "--jobs", "2", name="par"
-        )
-        rc2, out2 = run(tmp_path, "bands", "--cosA", "0.7", "--alpha-sweep", "-1:0:0.1", name="ser")
-        assert rc1 == rc2 == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_csv_has_header_and_config_comment(self, tmp_path):
         _, out = run(tmp_path, "bands", "--cosA", "0.7", "--alpha-sweep", "-1:0:0.5")
         lines = out.read_text().splitlines()
