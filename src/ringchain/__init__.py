@@ -15,7 +15,6 @@ from .band import (
 )
 from .core import (
     ChainParams,
-    EnergyPoint,
     c_kernel,
     f_single,
     lambda_pair,

@@ -18,7 +18,7 @@ import numpy as np
 from .core import ChainParams, f_single, f_single_vec, find_roots, lambda_small, lambda_small_vec
 from .errors import FitFailed
 from .impurity import (
-    EDGE_DISCARD, ImpurityState, PerturbationPattern, _gap_grid, gap0_scan_floor, interior_states, solve_gap,
+    EDGE_DISCARD, ImpurityState, PerturbationPattern, gap_scan_grid, interior_states, solve_gap,
 )
 
 R2_REQUIRED = 0.99
@@ -90,14 +90,6 @@ def _least_squares_line(xs, ys) -> FitReport:
     return FitReport(float(slope), float(intercept), r2, tuple(zip(xs.tolist(), ys.tolist())))
 
 
-def _gap_scan_grid(gap, pattern: PerturbationPattern, params: ChainParams) -> np.ndarray:
-    """Scan grid on a gap piece; gap 0 starts at the pattern's certified floor."""
-    lo, hi = gap
-    if math.isinf(lo):
-        lo = gap0_scan_floor(pattern, params)
-    return _gap_grid(lo, hi, SCAN_POINTS)
-
-
 def weak_predictor(
     gap: tuple[float, float],
     problem: WeakCouplingProblem,
@@ -112,7 +104,7 @@ def weak_predictor(
     if target == 0.0:
         return None
     roots = find_roots(lambda E: f_single_vec(E, params) - target, lambda E: f_single(E, params) - target,
-                       _gap_scan_grid(gap, problem.pattern(), params), 1e-15)
+                       gap_scan_grid(gap, problem.pattern(), params, SCAN_POINTS), 1e-15)
     return roots[0] if roots else None
 
 
@@ -213,7 +205,7 @@ def distant_solve(
     the two branches are solved separately, which keeps exponentially close
     pairs resolvable.  Unequal strengths use a direct sign scan.
     """
-    grid = _gap_scan_grid(gap, pair.pattern(), params)
+    grid = gap_scan_grid(gap, pair.pattern(), params, SCAN_POINTS)
     if pair.gamma1 == pair.gamma2:
         roots = []
         for sign in (1.0, -1.0):
@@ -247,7 +239,8 @@ def splitting_rate(
 
     # brentq's default rtol, which the polish of E* has always used
     roots = find_roots(lambda E: f_single_vec(E, params) - gamma, lambda E: f_single(E, params) - gamma,
-                       _gap_scan_grid(gap, pair_template.pattern(), params), 1e-14, rtol=4 * np.finfo(float).eps)
+                       gap_scan_grid(gap, pair_template.pattern(), params, SCAN_POINTS), 1e-14,
+                       rtol=4 * np.finfo(float).eps)
     if not roots:
         raise FitFailed("no limiting root f(E) = gamma in this gap")
     E_star = roots[0]

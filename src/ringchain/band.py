@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainParams, c_kernel, find_roots, kernels_vec, s_kernel, xi_background, xi_vec
+from .core import ChainParams, c_kernel, find_roots, kernels_vec, on_flat_band, s_kernel, xi_background, xi_vec
 from .errors import CutoffTooSmall, HalfIntegerFlux
 
 TOL_ROOT = 1e-10
@@ -50,6 +50,11 @@ def json_endpoint(v: float) -> float | None:
 class FlatBand:
     E: float
     tag: str  # TAG_INTEGER_K or TAG_HALF_FLUX
+
+
+def _flat_band(E: float) -> FlatBand:
+    """The flat band at E: integer_k at E = n^2, a half-flux root elsewhere."""
+    return FlatBand(E, TAG_INTEGER_K if on_flat_band(E) else TAG_HALF_FLUX)
 
 
 @dataclass(frozen=True)
@@ -113,16 +118,16 @@ def _scan_grid(params: ChainParams, cutoff: float, kappa_floor: float) -> np.nda
     return grid[grid <= cutoff]
 
 
-def _edge_roots(params: ChainParams, grid: np.ndarray, tol_root: float) -> list[float]:
+def _edge_roots(params: ChainParams, grid: np.ndarray) -> list[float]:
     """All roots of xi(E) = +-1 bracketed by sign changes on the grid."""
     vals = xi_vec(grid, params.alpha, params)   # one scan serves both targets
     roots: list[float] = []
     for target in (1.0, -1.0):
-        roots += find_roots(lambda _: vals - target, lambda E: xi_background(E, params) - target, grid, tol_root)
+        roots += find_roots(lambda _: vals - target, lambda E: xi_background(E, params) - target, grid, TOL_ROOT)
     return sorted(roots)
 
 
-def band_edges(params: ChainParams, cutoff: float, tol_root: float = TOL_ROOT) -> SpectrumLayout:
+def band_edges(params: ChainParams, cutoff: float) -> SpectrumLayout:
     """Locate all band edges below cutoff and assemble the layout.
 
     Raises HalfIntegerFlux in the pure-point regime and CutoffTooSmall
@@ -136,7 +141,7 @@ def band_edges(params: ChainParams, cutoff: float, tol_root: float = TOL_ROOT) -
     kappa_floor = negative_scan_floor(params)
     floor_E = -(kappa_floor**2)
     grid = _scan_grid(params, cutoff, kappa_floor)
-    edges = _edge_roots(params, grid, tol_root)
+    edges = _edge_roots(params, grid)
     if not edges:
         raise CutoffTooSmall(f"no spectral band found below cutoff {cutoff}")
 
@@ -145,7 +150,7 @@ def band_edges(params: ChainParams, cutoff: float, tol_root: float = TOL_ROOT) -
     bands: list[tuple[float, float]] = []
     gaps: list[tuple[float, float]] = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo <= tol_root:
+        if hi - lo <= TOL_ROOT:
             continue
         mid = 0.5 * (lo + hi)
         if abs(xi_background(mid, params)) <= 1.0:
@@ -158,7 +163,7 @@ def band_edges(params: ChainParams, cutoff: float, tol_root: float = TOL_ROOT) -
     # merge bands touching at a point (xi grazes +-1 there; not a gap)
     merged: list[tuple[float, float]] = [bands[0]]
     for lo, hi in bands[1:]:
-        if lo - merged[-1][1] <= tol_root:
+        if lo - merged[-1][1] <= TOL_ROOT:
             merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))
@@ -176,23 +181,35 @@ def band_edges(params: ChainParams, cutoff: float, tol_root: float = TOL_ROOT) -
     # split gaps at interior flat-band energies
     split: list[tuple[float, float]] = []
     for lo, hi in gaps:
-        interior = [F for F in flats if lo + tol_root < F < hi - tol_root]
+        interior = [F for F in flats if lo + TOL_ROOT < F < hi - TOL_ROOT]
         pieces = [lo] + interior + [hi]
         split.extend((a, b) for a, b in zip(pieces[:-1], pieces[1:]))
     gaps = split
 
-    flat_bands = [FlatBand(F, TAG_INTEGER_K) for F in flats]
     return SpectrumLayout(
         regime=flux_regime(params),
         bands=bands,
         gaps=gaps,
-        flat_bands=flat_bands,
+        flat_bands=[_flat_band(F) for F in flats],
         cutoff=cutoff,
         scan_floor=floor_E,
     )
 
 
-def first_band(params: ChainParams, tol_root: float = TOL_ROOT) -> tuple[float, float]:
+def half_integer_layout(params: ChainParams, cutoff: float) -> SpectrumLayout:
+    """The pure-point layout at half-integer flux: no bands or gaps, only
+    the flat bands below cutoff."""
+    return SpectrumLayout(
+        regime=REGIME_HALF_INTEGER,
+        bands=[],
+        gaps=[],
+        flat_bands=[_flat_band(F) for F in flat_band_energies(params, cutoff)],
+        cutoff=cutoff,
+        scan_floor=-(negative_scan_floor(params) ** 2),
+    )
+
+
+def first_band(params: ChainParams) -> tuple[float, float]:
     """Edges of the lowest spectral band only (fast path for sweeps)."""
     if params.is_half_integer_flux:
         raise HalfIntegerFlux("band structure undefined at half-integer flux")
@@ -200,14 +217,14 @@ def first_band(params: ChainParams, tol_root: float = TOL_ROOT) -> tuple[float, 
     cutoff = 1.5
     while cutoff <= 130.0:
         grid = _scan_grid(params, cutoff, kappa_floor)
-        edges = _edge_roots(params, grid, tol_root)
+        edges = _edge_roots(params, grid)
         if len(edges) >= 2:
             return edges[0], edges[1]
         cutoff *= 4.0
     raise CutoffTooSmall("first band not found below E = 130")
 
 
-def flat_band_energies(params: ChainParams, cutoff: float, tol_root: float = TOL_ROOT) -> list[float]:
+def flat_band_energies(params: ChainParams, cutoff: float) -> list[float]:
     """Energies of the infinitely degenerate eigenvalues below cutoff.
 
     Magnetic and non-magnetic regimes: {n^2 : n in N}.  Half-integer
@@ -223,12 +240,12 @@ def flat_band_energies(params: ChainParams, cutoff: float, tol_root: float = TOL
         return c + 0.25 * params.alpha * s
 
     roots = find_roots(numerator_vec, lambda E: c_kernel(E) + 0.25 * params.alpha * s_kernel(E),
-                       _scan_grid(params, cutoff, negative_scan_floor(params)), tol_root)
+                       _scan_grid(params, cutoff, negative_scan_floor(params)), TOL_ROOT)
     merged = sorted(set(roots) | set(flats))
     # drop duplicates within tolerance
     out: list[float] = []
     for E in merged:
-        if not out or E - out[-1] > tol_root:
+        if not out or E - out[-1] > TOL_ROOT:
             out.append(E)
     return out
 

@@ -20,16 +20,16 @@ from . import asymptotics, band, crosscheck, impurity
 from .core import ChainParams, f_single
 from .errors import InsideBand, FlatBandPole, RingChainError
 
-FIG4_PRESETS = {
-    "fig4i": (0.6, 1.0),
-    "fig4ii": (0.6, -1.0),
-    "fig4iii": (0.6, -3.0),
-}
-FIG5_PRESETS = {
+# figure preset -> (cos(A*pi), alpha, pattern); fig4 presets take the pattern from --gamma
+IMPURITY_PRESETS = {
+    "fig4i": (0.6, 1.0, None),
+    "fig4ii": (0.6, -1.0, None),
+    "fig4iii": (0.6, -3.0, None),
     "fig5i": (-0.6, 1.0, (3.0, 1.0)),
     "fig5ii": (-0.6, -1.0, (3.0, 1.0)),
     "fig5iii": (-0.6, -3.0, (3.0, 1.0)),
 }
+CURVE_POINTS = 200   # coupling-function samples per gap piece
 
 
 class ConfigError(Exception):
@@ -67,13 +67,10 @@ def _json_text(obj) -> str:
 
 
 def _params_from(args) -> ChainParams:
-    if args.A is not None and args.cosA is not None:
-        raise ConfigError("give either --A or --cosA, not both")
-    if args.A is None and args.cosA is None:
-        raise ConfigError("one of --A or --cosA is required")
+    alpha = 0.0 if args.alpha is None else args.alpha
     if args.A is not None:
-        return ChainParams(args.A, args.alpha)
-    return ChainParams.from_cos_flux(args.cosA, args.alpha)
+        return ChainParams(args.A, alpha)
+    return ChainParams.from_cos_flux(args.cosA, alpha)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -94,39 +91,21 @@ def _parse_sweep(text: str) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def _positive_float(text: str) -> float:
-    v = float(text)
-    if v <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return v
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--A", type=float, default=None, help="flux parameter A")
-    p.add_argument("--cosA", type=float, default=None, help="cos(A*pi) directly")
-    p.add_argument("--alpha", type=float, default=0.0, help="background coupling")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--tol-root", type=_positive_float, default=band.TOL_ROOT)
-    p.add_argument("--cutoff", type=float, default=25.0)
-    p.add_argument("--seed", type=int, default=0)
-
-
 def cmd_bands(args) -> int:
-    if args.figure is not None:
-        if args.figure != "fig3":
-            raise ConfigError(f"unknown bands figure preset: {args.figure}")
-        args.cosA, args.A = 0.7, None
+    if args.figure is not None:  # fig3, the only bands preset
+        args.cosA = 0.7
         if args.alpha_sweep is None:
             args.alpha_sweep = "-4:2:0.01"
 
     if args.alpha_sweep is not None:
-        params0 = _params_from(args)  # validates the flux spec
+        if args.alpha is not None:
+            raise ConfigError("--alpha-sweep and --figure set alpha; drop --alpha")
+        params0 = _params_from(args)
         alphas = _parse_sweep(args.alpha_sweep)
-        edges = [band.first_band(params0.with_alpha(float(a)), tol_root=args.tol_root) for a in alphas]
+        edges = [band.first_band(params0.with_alpha(float(a))) for a in alphas]
         config = (
             f"bands alpha-sweep cosA={_fmt(params0.cos_flux)} sweep={args.alpha_sweep} "
-            f"tol_root={_fmt(args.tol_root)}"
+            f"tol_root={_fmt(band.TOL_ROOT)}"
         )
         rows = [(a, lo, hi) for a, (lo, hi) in zip(alphas, edges)]
         _emit(_csv_text(config, ["alpha", "band0_lo", "band0_hi"], rows), args.out)
@@ -134,26 +113,14 @@ def cmd_bands(args) -> int:
 
     params = _params_from(args)
     if params.is_half_integer_flux:
-        flats = band.flat_band_energies(params, args.cutoff, tol_root=args.tol_root)
-        doc = {
-            "regime": band.REGIME_HALF_INTEGER,
-            "bands": [],
-            "gaps": [],
-            "flat": [
-                {"E": E, "tag": band.TAG_INTEGER_K if abs(math.sqrt(abs(E)) - round(math.sqrt(abs(E)))) < 1e-9 and E > 0 else band.TAG_HALF_FLUX}
-                for E in flats
-            ],
-        }
-        _emit(_json_text(doc), args.out)
-        return 0
-    layout = band.band_edges(params, args.cutoff, tol_root=args.tol_root)
+        layout = band.half_integer_layout(params, args.cutoff)
+    else:
+        layout = band.band_edges(params, args.cutoff)
     _emit(_json_text(layout.to_json_dict()), args.out)
     return 0
 
 
 def _pattern_from(args) -> impurity.PerturbationPattern:
-    if args.gamma is not None and args.identical is not None:
-        raise ConfigError("give either --gamma or --identical, not both")
     if args.gamma is not None:
         return impurity.PerturbationPattern(tuple(_parse_floats(args.gamma)))
     if args.identical is not None:
@@ -168,16 +135,13 @@ def _pattern_from(args) -> impurity.PerturbationPattern:
 def cmd_impurity(args) -> int:
     preset_pattern = None
     if args.figure is not None:
-        if args.figure in FIG4_PRESETS:
-            args.cosA, args.alpha = FIG4_PRESETS[args.figure]
-            args.A = None
-        elif args.figure in FIG5_PRESETS:
-            args.cosA, args.alpha, preset_pattern = FIG5_PRESETS[args.figure]
-            args.A = None
-        else:
-            raise ConfigError(f"unknown impurity figure preset: {args.figure}")
+        if args.alpha is not None:
+            raise ConfigError("--figure sets alpha; drop --alpha")
+        args.cosA, args.alpha, preset_pattern = IMPURITY_PRESETS[args.figure]
+        if preset_pattern is not None and (args.gamma is not None or args.identical is not None):
+            raise ConfigError(f"--figure {args.figure} sets the pattern; drop --gamma/--identical")
     params = _params_from(args)
-    layout = band.band_edges(params, args.cutoff, tol_root=args.tol_root)
+    layout = band.band_edges(params, args.cutoff)
 
     if args.curve:
         if preset_pattern is not None:
@@ -197,7 +161,7 @@ def cmd_impurity(args) -> int:
         for gi, (lo, hi) in enumerate(layout.gaps):
             if math.isinf(lo):
                 lo = hi - 3.0
-            grid = np.linspace(lo + 1e-6, hi - 1e-6, args.curve_points)
+            grid = np.linspace(lo + 1e-6, hi - 1e-6, CURVE_POINTS)
             for E in grid:
                 try:
                     if two:
@@ -228,7 +192,7 @@ def cmd_weak(args) -> int:
     params = _params_from(args)
     gammas = tuple(_parse_floats(args.gamma))
     eps_list = _parse_floats(args.eps)
-    layout = band.band_edges(params, args.cutoff, tol_root=args.tol_root)
+    layout = band.band_edges(params, args.cutoff)
     gap = layout.gaps[args.gap]
 
     per_eps = []
@@ -261,7 +225,7 @@ def cmd_weak(args) -> int:
 def cmd_distant(args) -> int:
     params = _params_from(args)
     n_list = [int(n) for n in _parse_floats(args.n)]
-    layout = band.band_edges(params, args.cutoff, tol_root=args.tol_root)
+    layout = band.band_edges(params, args.cutoff)
     gap = layout.gaps[args.gap]
 
     per_n = []
@@ -286,11 +250,7 @@ def cmd_distant(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    results = crosscheck.run_cases(
-        seed=args.seed,
-        n_cases=args.cases,
-        M_levels=tuple(int(m) for m in _parse_floats(args.M_levels)),
-    )
+    results = crosscheck.run_cases(seed=args.seed, n_cases=args.cases)
     rows = [
         (
             r.index,
@@ -308,7 +268,7 @@ def cmd_oracle(args) -> int:
         )
         for r in results
     ]
-    config = f"oracle seed={args.seed} cases={args.cases} M={args.M_levels}"
+    config = f"oracle seed={args.seed} cases={args.cases} M={','.join(map(str, crosscheck.M_LEVELS))}"
     header = [
         "case", "cos_flux", "alpha", "gammas", "gap_index", "n_rings",
         "E_char", "E_raw", "E_richardson", "err_raw", "err_richardson", "matched",
@@ -321,34 +281,44 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _add_flux(p: argparse.ArgumentParser, figures=()) -> None:
+    """The chain options; a figure preset, where offered, excludes the flux."""
+    flux = p.add_mutually_exclusive_group(required=True)
+    flux.add_argument("--A", type=float, default=None, help="flux parameter A")
+    flux.add_argument("--cosA", type=float, default=None, help="cos(A*pi) directly")
+    if figures:
+        flux.add_argument("--figure", choices=figures, default=None, help="parameter preset")
+    p.add_argument("--alpha", type=float, default=None, help="background coupling (default 0)")
+    p.add_argument("--cutoff", type=float, default=25.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ringchain", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bands", help="band/gap layout and first-band sweeps")
-    _add_common(p)
+    _add_flux(p, figures=("fig3",))
     p.add_argument("--alpha-sweep", default=None, help="lo:hi:step sweep of alpha")
-    p.add_argument("--figure", default=None, help="preset: fig3")
     p.set_defaults(func=cmd_bands)
 
     p = sub.add_parser("impurity", help="gap bound states of a finite pattern")
-    _add_common(p)
-    p.add_argument("--gamma", default=None, help="comma list gamma_1,...,gamma_m")
-    p.add_argument("--identical", default=None, help="identical array gamma:m")
+    _add_flux(p, figures=tuple(IMPURITY_PRESETS))
+    pattern = p.add_mutually_exclusive_group()
+    pattern.add_argument("--gamma", default=None, help="comma list gamma_1,...,gamma_m")
+    pattern.add_argument("--identical", default=None, help="identical array gamma:m")
     p.add_argument("--curve", action="store_true", help="emit coupling-function curves")
-    p.add_argument("--curve-points", type=int, default=200)
-    p.add_argument("--figure", default=None, help="preset: fig4i/ii/iii, fig5i/ii/iii")
+    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.set_defaults(func=cmd_impurity)
 
     p = sub.add_parser("weak", help="weak-coupling predictor vs exact")
-    _add_common(p)
+    _add_flux(p)
     p.add_argument("--gamma", required=True, help="base pattern gamma list")
     p.add_argument("--eps", required=True, help="comma list of epsilon values")
     p.add_argument("--gap", type=int, default=0)
     p.set_defaults(func=cmd_weak)
 
     p = sub.add_parser("distant", help="two distant impurities")
-    _add_common(p)
+    _add_flux(p)
     p.add_argument("--g1", type=float, required=True)
     p.add_argument("--g2", type=float, required=True)
     p.add_argument("--n", required=True, help="comma list of separations")
@@ -356,18 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distant)
 
     p = sub.add_parser("oracle", help="randomized discretization cross-check")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=20)
-    p.add_argument("--M-levels", default="64,128,256")
     p.set_defaults(func=cmd_oracle)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output path (default stdout)")
     return ap
 
 
 # options whose values are strings that may begin with a minus sign
 # (sweeps, comma lists); argparse only recognizes bare negative numbers,
 # so such pairs are joined into --opt=value form before parsing
-_STRING_OPTS = {"--alpha-sweep", "--identical", "--gamma", "--eps", "--n", "--M-levels"}
+_STRING_OPTS = {"--alpha-sweep", "--identical", "--gamma", "--eps", "--n"}
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:

@@ -91,31 +91,14 @@ class ChainParams:
         return complex(math.cos(self.A * math.pi), math.sin(self.A * math.pi))
 
 
-@dataclass(frozen=True)
-class EnergyPoint:
-    """An energy with its momentum-branch metadata."""
-
-    E: float
-    branch: str          # 'positive' | 'zero' | 'negative'
-    magnitude: float     # k for E > 0, kappa for E < 0
-    on_flat_band: bool   # True iff E = n^2 for a positive integer n
-
-    @classmethod
-    def from_energy(cls, E: float) -> "EnergyPoint":
-        mag = math.sqrt(abs(E))
-        if E > 0.0:
-            branch = "positive"
-            flat = abs(mag - round(mag)) < TOL_FLAT and round(mag) >= 1
-        elif E < 0.0:
-            branch, flat = "negative", False
-        else:
-            branch, flat = "zero", False
-        return cls(float(E), branch, mag, flat)
-
-
 def on_flat_band(E: float) -> bool:
-    """True iff E is (numerically) a squared positive integer."""
-    return EnergyPoint.from_energy(E).on_flat_band
+    """True iff E is (numerically) a squared positive integer; the rule of
+    flat_band_mask."""
+    if not E > 0.0:  # NaN included
+        return False
+    k = math.sqrt(E)
+    n = round(k)
+    return n >= 1 and abs(k - n) < TOL_FLAT
 
 
 def cos_k(E: float, x: float) -> float:

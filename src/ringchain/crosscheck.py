@@ -24,6 +24,8 @@ from .errors import RingChainError, SolverNoConvergence
 
 TOL_RAW = 1e-4        # plain finest-grid agreement
 TOL_RICH = 1e-6       # Richardson-extrapolated agreement
+M_LEVELS = (64, 128, 256)   # points per edge of the refinement study
+WINDOW_HALF_WIDTH = 0.08    # eigenvalue search window around a root
 LAMBDA_CAP = 0.88     # slowest admissible decay per ring
 EDGE_SCORE = 0.5      # localization score above which a state is truncation debris
 MAX_EDGE_STATES = 2   # tolerated per gap window
@@ -86,7 +88,7 @@ def admissible_roots(params: ChainParams, gammas, layout) -> list:
     return roots
 
 
-def _gap_window(gap, layout, E, half_width=0.08):
+def _gap_window(gap, layout, E):
     """A window around E inside the gap, trimmed away from flat-band
     cluster energies and band edges."""
     flats = {fb.E for fb in layout.flat_bands}
@@ -94,16 +96,10 @@ def _gap_window(gap, layout, E, half_width=0.08):
     hi = gap[1]
     lo += 0.02 if lo in flats else 1e-3
     hi -= 0.02 if hi in flats else 1e-3
-    return max(lo, E - half_width), min(hi, E + half_width)
+    return max(lo, E - WINDOW_HALF_WIDTH), min(hi, E + WINDOW_HALF_WIDTH)
 
 
-def run_cases(
-    seed: int,
-    n_cases: int,
-    M_levels=(64, 128, 256),
-    tol_raw: float = TOL_RAW,
-    tol_rich: float = TOL_RICH,
-) -> list[CaseResult]:
+def run_cases(seed: int, n_cases: int) -> list[CaseResult]:
     """Check n_cases random configurations; one result per verified root."""
     rng = np.random.default_rng(seed)
     results: list[CaseResult] = []
@@ -129,7 +125,7 @@ def run_cases(
             window = _gap_window(layout.gaps[gi], layout, st.E)
             try:
                 study = oracle_mod.convergence_study(
-                    params, gammas, M_levels, n_rings, window, reference=st.E
+                    params, gammas, M_LEVELS, n_rings, window, reference=st.E
                 )
             except SolverNoConvergence:
                 results.append(
@@ -141,7 +137,7 @@ def run_cases(
             raw = study.rows[-1].E_oracle
             rich = study.richardson
             spurious_ok = _check_spurious(
-                params, gammas, n_rings, max(M_levels), window, all_char[gi], tol_raw
+                params, gammas, n_rings, max(M_LEVELS), window, all_char[gi], TOL_RAW
             )
             results.append(
                 CaseResult(
@@ -176,6 +172,6 @@ def _check_spurious(params, gammas, n_rings, M, window, char_roots, tol_raw) -> 
     return all(min(abs(v - E) for E in char_roots) <= tol_raw for v in bulk)
 
 
-def summary_line(results: list[CaseResult], tol_raw=TOL_RAW, tol_rich=TOL_RICH) -> str:
+def summary_line(results: list[CaseResult]) -> str:
     matched = sum(1 for r in results if r.matched)
-    return f"{matched}/{len(results)} matched (raw <= {tol_raw:g}, extrapolated <= {tol_rich:g})"
+    return f"{matched}/{len(results)} matched (raw <= {TOL_RAW:g}, extrapolated <= {TOL_RICH:g})"

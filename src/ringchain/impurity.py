@@ -123,6 +123,16 @@ def _gap_grid(lo: float, hi: float, n_base: int) -> np.ndarray:
     return np.unique(pts)
 
 
+def gap_scan_grid(gap: tuple[float, float], pattern: PerturbationPattern, params: ChainParams,
+                  n_base: int) -> np.ndarray:
+    """Root-scan grid on a gap piece; gap 0 starts at the pattern's
+    certified floor, kept below the piece's upper edge."""
+    lo, hi = gap
+    if math.isinf(lo):
+        lo = min(gap0_scan_floor(pattern, params), hi - 1e-9)
+    return _gap_grid(lo, hi, n_base)
+
+
 def solve_gap(
     pattern: PerturbationPattern,
     gap: tuple[float, float],
@@ -139,12 +149,8 @@ def solve_gap(
     gap edges carry the band-edge root tolerance, so grid points hugging
     an edge can spill into the band; the scan masks those as NaN.
     """
-    lo, hi = gap
-    if math.isinf(lo):
-        lo = min(gap0_scan_floor(pattern, params), hi - 1e-9)
-
     roots = find_roots(lambda E: char_residual_vec(E, pattern, params), lambda E: char_residual(E, pattern, params),
-                       _gap_grid(lo, hi, grid_points), tol_root)
+                       gap_scan_grid(gap, pattern, params, grid_points), tol_root)
     return interior_states(roots, gap, gap_index, lambda E: char_residual(E, pattern, params), edge_margin)
 
 

@@ -198,6 +198,13 @@ def _sigma_floor(op: DiscreteOperator) -> float:
     return -(kf * kf) - 2.0
 
 
+def _start_vector(op: DiscreteOperator) -> np.ndarray:
+    """A fixed ARPACK start vector, so repeated solves agree to the last bit.
+    Random rather than constant: a constant vector is parity-even and would
+    starve the odd states of a symmetric chain."""
+    return np.random.default_rng(0).standard_normal(op.dim)
+
+
 def low_spectrum(op: DiscreteOperator, count: int) -> np.ndarray:
     """Lowest `count` eigenvalues, ascending.
 
@@ -213,7 +220,7 @@ def low_spectrum(op: DiscreteOperator, count: int) -> np.ndarray:
     try:
         vals = spla.eigsh(
             K, k=count, M=M, sigma=_sigma_floor(op), which="LM",
-            return_eigenvectors=False, tol=ARPACK_TOL,
+            return_eigenvectors=False, tol=ARPACK_TOL, v0=_start_vector(op),
         )
     except spla.ArpackNoConvergence as exc:
         raise SolverNoConvergence(str(exc)) from exc
@@ -234,11 +241,12 @@ def spectrum_window(op: DiscreteOperator, lo: float, hi: float):
     K, M = op.to_sparse()
     sigma = 0.5 * (lo + hi)
     radius = max(hi - sigma, sigma - lo)
+    v0 = _start_vector(op)
     k = 16
     while True:
         k = min(k, op.dim - 2)
         try:
-            vals, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM", tol=ARPACK_TOL)
+            vals, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM", tol=ARPACK_TOL, v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise SolverNoConvergence(str(exc)) from exc
         # shift-invert returns the k eigenvalues nearest sigma; the window

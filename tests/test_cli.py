@@ -1,12 +1,32 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
 from ringchain import ChainParams, PerturbationPattern, band_edges, solve_gap
-from ringchain.cli import main
+from ringchain.cli import _normalize_argv, build_parser, main
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
+
+# a valid command line per command, to which an option is added
+VALID = {
+    "bands": ["bands", "--cosA", "0.7"],
+    "impurity": ["impurity", "--cosA", "0.6", "--gamma", "-2"],
+    "weak": ["weak", "--cosA", "0.7", "--gamma", "-1", "--eps", "1e-3"],
+    "distant": ["distant", "--cosA", "0.7", "--g1", "-1.5", "--g2", "-1.5", "--n", "4"],
+    "oracle": ["oracle", "--cases", "1"],
+}
+# options a command does not read, each with a value
+REMOVED = [
+    ("bands", "--format", "json"), ("bands", "--tol-root", "1e-9"), ("bands", "--seed", "1"),
+    ("impurity", "--tol-root", "1e-9"), ("impurity", "--seed", "1"), ("impurity", "--curve-points", "10"),
+    ("weak", "--format", "csv"), ("weak", "--tol-root", "1e-9"), ("weak", "--seed", "1"),
+    ("distant", "--format", "csv"), ("distant", "--tol-root", "1e-9"), ("distant", "--seed", "1"),
+    ("oracle", "--A", "0"), ("oracle", "--cosA", "0.7"), ("oracle", "--alpha", "0"), ("oracle", "--format", "csv"),
+    ("oracle", "--tol-root", "1e-9"), ("oracle", "--cutoff", "12"), ("oracle", "--M-levels", "64,128,256"),
+]
 
 
 def run(tmp_path, *argv, name="out"):
@@ -39,8 +59,31 @@ class TestExitCodes:
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 2
 
-    def test_non_positive_tolerance(self):
-        assert main(["bands", "--cosA", "0.7", "--tol-root", "-1e-9"]) == 2
+    @pytest.mark.parametrize("command,option,value", REMOVED)
+    def test_unused_option_rejected(self, command, option, value):
+        build_parser().parse_args(VALID[command])   # valid without the option
+        assert main(VALID[command] + [option, value]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["impurity", "--figure", "fig4i", "--cosA", "-0.2", "--alpha", "5", "--curve"],
+            ["impurity", "--figure", "fig4i", "--alpha", "5", "--curve"],
+            ["impurity", "--figure", "fig5i", "--gamma", "-2"],
+            ["bands", "--figure", "fig3", "--A", "0.3"],
+            ["bands", "--figure", "fig3", "--alpha", "1"],
+            ["bands", "--cosA", "0.7", "--alpha", "1", "--alpha-sweep", "-1:0:0.5"],
+        ],
+    )
+    def test_preset_does_not_override_explicit_input(self, argv):
+        assert main(argv) == 2
+
+    def test_readme_command_lines_parse(self):
+        block = README.read_text().split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("ringchain ")]
+        assert len(lines) >= 7
+        for argv in lines:
+            build_parser().parse_args(_normalize_argv(argv[1:]))
 
 
 class TestBands:
@@ -59,6 +102,7 @@ class TestBands:
         assert doc["regime"] == "half_integer_flux"
         assert doc["bands"] == [] and doc["gaps"] == []
         assert len(doc["flat"]) >= 2
+        assert all((f["tag"] == "integer_k") == (f["E"] == 1.0) for f in doc["flat"])
 
     def test_fig3_golden_regression(self, tmp_path):
         rc, out = run(tmp_path, "bands", "--figure", "fig3")
@@ -70,6 +114,13 @@ class TestBands:
         rc2, out2 = run(tmp_path, "bands", "--cosA", "0.7", "--alpha-sweep", "-1:0:0.1", name="b")
         assert rc1 == rc2 == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_fig3_preset_with_own_sweep(self, tmp_path):
+        rc, out = run(tmp_path, "bands", "--figure", "fig3", "--alpha-sweep", "-1:0:0.5")
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# config: bands alpha-sweep cosA=0.69999999999999996 sweep=-1:0:0.5")
+        assert len(lines) == 5
 
     def test_csv_has_header_and_config_comment(self, tmp_path):
         _, out = run(tmp_path, "bands", "--cosA", "0.7", "--alpha-sweep", "-1:0:0.5")
@@ -174,7 +225,7 @@ class TestWeakDistant:
 
 class TestOracleCommand:
     def test_small_run_matches_and_is_deterministic(self, tmp_path):
-        args = ["oracle", "--A", "0", "--alpha", "0", "--seed", "11", "--cases", "1"]
+        args = ["oracle", "--seed", "11", "--cases", "1"]
         rc1, out1 = run(tmp_path, *args, name="a")
         rc2, out2 = run(tmp_path, *args, name="b")
         assert rc1 == rc2 == 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ringchain import (
     ChainParams,
-    EnergyPoint,
     HalfIntegerFlux,
     InsideBand,
     FlatBandPole,
@@ -83,11 +82,6 @@ class TestChainParams:
         assert math.cos(p.A * math.pi) == pytest.approx(0.7, abs=1e-15)
 
     def test_energy_point(self):
-        ep = EnergyPoint.from_energy(4.0)
-        assert ep.branch == "positive" and ep.on_flat_band and ep.magnitude == 2.0
-        assert EnergyPoint.from_energy(-2.0).branch == "negative"
-        assert EnergyPoint.from_energy(0.0).branch == "zero"
-        assert not EnergyPoint.from_energy(2.5).on_flat_band
         assert on_flat_band(9.0) and not on_flat_band(8.99)
 
 

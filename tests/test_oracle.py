@@ -126,6 +126,13 @@ class TestSpectra:
         )
         assert np.abs(dense_vals - sparse_vals).max() <= 1e-8
 
+    def test_sparse_path_repeats_exactly(self, p06):
+        # dim 1396 is above DENSE_LIMIT, so both calls go through ARPACK
+        op = assemble(TruncatedChain(11, 64, p06), [-2.0])
+        assert np.array_equal(low_spectrum(op, 4), low_spectrum(op, 4))
+        (v1, _), (v2, _) = (spectrum_window(op, -3.0, 0.5) for _ in range(2))
+        assert len(v1) > 0 and np.array_equal(v1, v2)
+
 
 class TestEigenvectorDecay:
     def test_ring_norm_ratio_tracks_multiplier(self, p06, gap0_state):
