@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChainParams, f_single, find_roots, lambda_small
-from .errors import FitFailed
+from .errors import FitFailed, InvalidParameter
 from .impurity import (
     EDGE_DISCARD, ImpurityState, PerturbationPattern, gap_scan_grid, interior_states, solve_gap,
 )
@@ -34,7 +34,7 @@ class WeakCouplingProblem:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+            raise InvalidParameter("epsilon must lie in (0, 1)")
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
 
     @property
@@ -55,9 +55,9 @@ class DistantPair:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("separation count n must be >= 0")
+            raise InvalidParameter("separation count n must be >= 0")
         if self.gamma1 == 0.0 or self.gamma2 == 0.0:
-            raise ValueError("both strengths must be nonzero")
+            raise InvalidParameter("both strengths must be nonzero")
 
     def pattern(self) -> PerturbationPattern:
         return PerturbationPattern((self.gamma1,) + (0.0,) * self.n + (self.gamma2,))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import asymptotics, band, crosscheck, impurity
 from .core import ChainParams, f_single
-from .errors import InsideBand, FlatBandPole, RingChainError
+from .errors import InsideBand, InvalidParameter, FlatBandPole, RingChainError
 
 # figure preset -> (cos(A*pi), alpha, pattern); fig4 presets take the pattern from --gamma
 IMPURITY_PRESETS = {
@@ -72,6 +72,13 @@ def _params_from(args) -> ChainParams:
     if args.A is not None:
         return ChainParams(args.A, alpha)
     return ChainParams.from_cos_flux(args.cosA, alpha)
+
+
+def _gap(params: ChainParams, args):
+    gaps = band.band_edges(params, _cutoff(args)).gaps
+    if not 0 <= args.gap < len(gaps):
+        raise ConfigError(f"--gap {args.gap} out of range: the layout has gaps 0..{len(gaps) - 1}")
+    return gaps[args.gap]
 
 
 def _cutoff(args) -> float:
@@ -201,8 +208,7 @@ def cmd_weak(args) -> int:
     params = _params_from(args)
     gammas = tuple(_parse_floats(args.gamma))
     eps_list = _parse_floats(args.eps)
-    layout = band.band_edges(params, _cutoff(args))
-    gap = layout.gaps[args.gap]
+    gap = _gap(params, args)
 
     per_eps = []
     for eps in eps_list:
@@ -234,8 +240,7 @@ def cmd_weak(args) -> int:
 def cmd_distant(args) -> int:
     params = _params_from(args)
     n_list = [int(n) for n in _parse_floats(args.n)]
-    layout = band.band_edges(params, _cutoff(args))
-    gap = layout.gaps[args.gap]
+    gap = _gap(params, args)
 
     per_n = []
     for n in n_list:
@@ -374,10 +379,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RingChainError, ValueError, IndexError) as exc:
+    except RingChainError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import FlatBandPole, HalfIntegerFlux, InsideBand
+from .errors import FlatBandPole, HalfIntegerFlux, InsideBand, InvalidParameter
 
 # cos(A*pi) below this is treated as exactly zero (half-integer flux)
 TOL_HALF = 1e-12
@@ -64,9 +64,9 @@ class ChainParams:
 
     def __post_init__(self):
         if not math.isfinite(self.A):
-            raise ValueError("flux parameter A must be finite")
+            raise InvalidParameter("flux parameter A must be finite")
         if not math.isfinite(self.alpha):
-            raise ValueError("coupling alpha must be finite (alpha = inf not supported)")
+            raise InvalidParameter("coupling alpha must be finite (alpha = inf not supported)")
         object.__setattr__(self, "cos_flux", math.cos(self.A * math.pi))
 
     @classmethod
@@ -77,7 +77,7 @@ class ChainParams:
         cos(A*pi) do not pick up an acos/cos round trip.
         """
         if not -1.0 <= cos_flux <= 1.0:
-            raise ValueError("cos(A*pi) must lie in [-1, 1]")
+            raise InvalidParameter("cos(A*pi) must lie in [-1, 1]")
         p = cls(math.acos(cos_flux) / math.pi, alpha)
         object.__setattr__(p, "cos_flux", float(cos_flux))
         return p

@@ -9,6 +9,10 @@ class RingChainError(Exception):
     """Base class for all solver errors."""
 
 
+class InvalidParameter(ValueError):
+    """A model parameter outside its domain, rejected by its type's constructor."""
+
+
 class HalfIntegerFlux(RingChainError):
     """cos(A*pi) vanishes: the dispersion function is undefined and the
     spectrum is pure point; callers must use the flat-band path."""
@@ -32,7 +36,7 @@ class FitFailed(RingChainError):
 
 
 class SolverNoConvergence(RingChainError):
-    """The eigensolver did not converge."""
+    """The eigensolver did not converge or missed a counted eigenvalue."""
 
 
 class DimensionOverflow(RingChainError):

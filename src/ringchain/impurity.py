@@ -23,7 +23,7 @@ import numpy as np
 
 from . import band as band_mod
 from .core import ChainParams, f_single, find_roots, gap_surd, kernels, on_flat_band, s_kernel, xi, xi_background
-from .errors import FlatBandPole
+from .errors import FlatBandPole, InvalidParameter
 from .transfer import PQState, pq_advance
 
 EDGE_DISCARD = 1e-8     # roots this close to a gap edge are band, not bound
@@ -38,9 +38,9 @@ class PerturbationPattern:
 
     def __post_init__(self):
         if len(self.gammas) < 1:
-            raise ValueError("pattern must perturb at least one vertex")
+            raise InvalidParameter("pattern must perturb at least one vertex")
         if not all(math.isfinite(g) for g in self.gammas):
-            raise ValueError("pattern entries must be finite")
+            raise InvalidParameter("pattern entries must be finite")
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
 
     @property

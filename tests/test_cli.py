@@ -28,7 +28,7 @@ EDGE_LINES = [
     "ringchain oracle --seed 7 --cases 1",
 ]
 # the README's 20-case oracle line runs the code path of the one-case line
-# above twenty times (about 19 s); test_acceptance runs 20 oracle cases
+# above twenty times (about 8 s); test_acceptance runs 20 oracle cases
 NOT_REPLAYED = ["ringchain oracle --seed 7 --cases 20 --out agreement.csv"]
 # oracle columns that come from ARPACK, whose last bits follow the
 # BLAS/LAPACK build; every other column comes from the float root path
@@ -123,13 +123,27 @@ class TestExitCodes:
     def test_bad_sweep_spec(self):
         assert main(["bands", "--cosA", "0.7", "--alpha-sweep", "nope"]) == 2
 
-    def test_bad_gap_index(self):
-        assert (
-            main(
-                ["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", "1e-3", "--gap", "99"]
-            )
-            == 3
-        )
+    def test_bad_gap_index(self, capsys):
+        argv = ["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", "1e-3", "--gap", "99"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --gap 99 out of range")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", "1e-3", "--gap", "-1"],
+            ["distant", "--cosA", "0.7", "--g1", "-1.5", "--g2", "-1.5", "--n", "4", "--gap", "99"],
+            ["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", "2"],
+            ["distant", "--cosA", "0.7", "--alpha", "1", "--g1", "-1.5", "--g2", "-1.5", "--n", "-3"],
+            ["distant", "--cosA", "0.7", "--g1", "0", "--g2", "-1.5", "--n", "4"],
+            ["bands", "--cosA", "2"],
+            ["impurity", "--cosA", "0.6", "--gamma", "nan"],
+        ],
+        ids=["gap-negative", "distant-gap-99", "eps-2", "n-negative", "g1-zero", "cosA-2", "gamma-nan"],
+    )
+    def test_invalid_value_is_a_configuration_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 2

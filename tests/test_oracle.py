@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ringchain import (
     ChainParams,
@@ -16,7 +17,8 @@ from ringchain import (
     solve_gap,
     spectrum_window,
 )
-from ringchain.oracle import eigenvector_ring_norms, localization_scores, richardson_limit
+from ringchain.errors import SolverNoConvergence
+from ringchain.oracle import eigen_count, eigenvector_ring_norms, localization_scores, richardson_limit
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,117 @@ class TestAssembly:
         b = assemble(TruncatedChain(9, 64, ChainParams(1.25, 1.0)), [-1.5])
         va, vb = low_spectrum(a, 8), low_spectrum(b, 8)
         assert np.abs(va - vb).max() <= 1e-8
+
+
+def _assemble_reference(chain, gammas):
+    """The original per-link assembly loop, kept as a reference for the
+    array build: every grid link adds its terms one at a time."""
+    n, h = chain.dim, chain.h
+    I = chain.points_per_edge - 1
+    block = 2 * I + 1
+    kd, md = np.zeros(n), np.zeros(n)
+    k1, m1 = np.zeros(n - 1, dtype=complex), np.zeros(n - 1, dtype=complex)
+    k2, m2 = np.zeros(n - 2, dtype=complex), np.zeros(n - 2, dtype=complex)
+    A = chain.params.A
+    phase_up = complex(math.cos(A * h), math.sin(A * h))
+    for ring in range(chain.n_rings):
+        for lower in (False, True):
+            omega = np.conj(phase_up) if lower else phase_up
+            base = ring * block - 1
+            left = base if ring >= 1 else -1
+            right = base + block if ring <= chain.n_rings - 2 else -1
+            nodes = [left] + [base + 1 + 2 * i + (1 if lower else 0) for i in range(I)] + [right]
+            for a, b in zip(nodes[:-1], nodes[1:]):
+                for node in (a, b):
+                    if node >= 0:
+                        kd[node] += 1.0 / h
+                        md[node] += 5.0 * h / 12.0
+                if a >= 0 and b >= 0:
+                    off = b - a
+                    assert off in (1, 2)
+                    (k1 if off == 1 else k2)[a] += -omega / h
+                    (m1 if off == 1 else m2)[a] += omega * h / 12.0
+    start = chain.pattern_start(len(gammas))
+    vertex_nodes = np.array([v * block - 1 for v in range(1, chain.n_rings)])
+    for v, node in enumerate(vertex_nodes, start=1):
+        coupling = chain.params.alpha
+        if start <= v < start + len(gammas):
+            coupling += gammas[v - start]
+        kd[node] += coupling
+    ring_of_node = np.empty(n, dtype=int)
+    for ring in range(chain.n_rings):
+        ring_of_node[max(ring * block - 1, 0):min((ring + 1) * block - 1, n)] = ring
+    return dict(kd=kd, k1=k1, k2=k2, md=md, m1=m1, m2=m2,
+                vertex_nodes=vertex_nodes, ring_of_node=ring_of_node)
+
+
+class TestAssemblyBitIdentity:
+    @pytest.mark.parametrize("cos_flux", [0.7, -0.45, 1.0, -1.0])
+    @pytest.mark.parametrize("M", [64, 128, 256])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_the_per_link_loop(self, m, M, cos_flux):
+        rng = np.random.default_rng([m, M, int(1000 * cos_flux) % 2**16])
+        params = ChainParams.from_cos_flux(cos_flux, float(rng.uniform(-3.0, 3.0)))
+        gammas = [float(g) for g in rng.uniform(-2.2, 2.2, m)]
+        chain = TruncatedChain(m + 6 + (m + 6 + 1) % 2, M, params)
+        op = assemble(chain, gammas)
+        for name, want in _assemble_reference(chain, gammas).items():
+            got = getattr(op, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+
+def _dense_spectrum(op):
+    K, M = op.to_dense()
+    if not (K.imag.any() or M.imag.any()):   # a real pencil solves about 5x faster
+        K, M = K.real, M.real
+    return scipy.linalg.eigh(K, M, eigvals_only=True)
+
+
+class TestInertiaCount:
+    """eigen_count against dense LAPACK on pencils above DENSE_LIMIT.
+
+    Shifts sit at E = n^2, 1e-9 either side of the discrete flat-band
+    cluster there (n_rings + 1 eigenvalues spread over ~1e-12), between
+    resolved neighbours and at random.  The cluster's own members are
+    closer together than either solver resolves, so no shift is placed
+    among them."""
+
+    RESOLVED = 1e-10   # no dense eigenvalue is this close to a tested shift
+
+    @pytest.mark.parametrize(
+        "cos_flux,n_rings,M",
+        [(0.7, 7, 90), (-1.0, 7, 90), (1.0, 9, 90)],
+        ids=["magnetic", "cos-1", "cos+1"],
+    )
+    def test_counts_match_dense_eigh(self, cos_flux, n_rings, M):
+        rng = np.random.default_rng(int(1000 * (cos_flux + 2)))
+        params = ChainParams.from_cos_flux(cos_flux, float(rng.uniform(-3.0, 3.0)))
+        op = assemble(TruncatedChain(n_rings, M, params), [float(rng.uniform(-2.2, 2.2))])
+        assert 1200 < op.dim < 3000
+        vals = _dense_spectrum(op)
+        K, Mm = op.to_sparse()
+
+        shifts = [float(rng.uniform(-10.0, 40.0)) for _ in range(20)]
+        low = vals[vals < 40.0]
+        wide = np.diff(low) > 1e-6
+        shifts += list(0.5 * (low[1:] + low[:-1])[wide][::3])
+        for n in range(1, 7):
+            cluster = vals[np.abs(vals - n * n) < 1e-3]
+            assert len(cluster) >= n_rings
+            shifts += [n * n, cluster.min() - 1e-9, cluster.max() + 1e-9]
+
+        checked = 0
+        for s in shifts:
+            if np.abs(vals - s).min() <= self.RESOLVED:
+                continue
+            assert eigen_count(K, Mm, s) == np.count_nonzero(vals < s), s
+            checked += 1
+        assert checked >= 40
+        # a window with both edges beside one cluster holds all of it
+        cluster = vals[np.abs(vals - 4.0) < 1e-3]
+        lo, hi = cluster.min() - 1e-9, cluster.max() + 1e-9
+        assert eigen_count(K, Mm, hi) - eigen_count(K, Mm, lo) == len(cluster)
 
 
 class TestSpectra:
@@ -132,6 +245,30 @@ class TestSpectra:
         assert np.array_equal(low_spectrum(op, 4), low_spectrum(op, 4))
         (v1, _), (v2, _) = (spectrum_window(op, -3.0, 0.5) for _ in range(2))
         assert len(v1) > 0 and np.array_equal(v1, v2)
+
+
+    def test_sparse_window_is_never_short(self):
+        # with a doubling neighbourhood capped at 96 eigenpairs, these
+        # windows came back with 49 of 70 and 128 of 150 eigenvalues
+        # (the totals are dense scipy.linalg.eigh counts)
+        op = assemble(TruncatedChain(13, 64, ChainParams.from_cos_flux(0.7, 1.0)), [-1.5])
+        assert op.dim > 1200
+        vals, vecs = spectrum_window(op, 0.5, 9.0)
+        assert len(vals) == 70 and vecs.shape == (op.dim, 70)
+        assert np.all(np.diff(vals) >= 0) and vals[0] > 0.5 and vals[-1] < 9.0
+        try:
+            vals, _ = spectrum_window(op, 0.5, 40.0)
+        except SolverNoConvergence:
+            return
+        assert len(vals) == 150
+
+    def test_empty_sparse_window(self, p06):
+        op = assemble(TruncatedChain(11, 64, p06), [0.0])
+        K, M = op.to_sparse()
+        lo, hi = 0.2, 0.21
+        assert eigen_count(K, M, hi) == eigen_count(K, M, lo)
+        vals, vecs = spectrum_window(op, lo, hi)
+        assert vals.shape == (0,) and vecs.shape == (op.dim, 0)
 
 
 class TestEigenvectorDecay:
