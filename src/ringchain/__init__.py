@@ -71,7 +71,6 @@ from .oracle import (
     TruncatedChain,
     assemble,
     convergence_study,
-    low_spectrum,
     spectrum_window,
 )
 

@@ -239,7 +239,10 @@ def cmd_weak(args) -> int:
 
 def cmd_distant(args) -> int:
     params = _params_from(args)
-    n_list = [int(n) for n in _parse_floats(args.n)]
+    n_values = _parse_floats(args.n)
+    if not all(n.is_integer() for n in n_values):
+        raise ConfigError(f"--n takes whole ring counts: {args.n!r}")
+    n_list = [int(n) for n in n_values]
     gap = _gap(params, args)
 
     per_n = []

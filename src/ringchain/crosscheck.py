@@ -27,7 +27,6 @@ TOL_RICH = 1e-6       # Richardson-extrapolated agreement
 M_LEVELS = (64, 128, 256)   # points per edge of the refinement study
 WINDOW_HALF_WIDTH = 0.08    # eigenvalue search window around a root
 LAMBDA_CAP = 0.88     # slowest admissible decay per ring
-EDGE_SCORE = 0.5      # localization score above which a state is truncation debris
 MAX_EDGE_STATES = 2   # tolerated per gap window
 
 
@@ -165,8 +164,8 @@ def _check_spurious(params, gammas, n_rings, M, window, char_roots, tol_raw) -> 
     op = oracle_mod.assemble(oracle_mod.TruncatedChain(n_rings, M, params), gammas)
     vals, vecs = oracle_mod.spectrum_window(op, window[0], window[1])
     scores = oracle_mod.localization_scores(op, vecs)
-    bulk = vals[scores <= EDGE_SCORE]
-    n_edge = int((scores > EDGE_SCORE).sum())
+    bulk = vals[scores <= oracle_mod.EDGE_SCORE]
+    n_edge = int((scores > oracle_mod.EDGE_SCORE).sum())
     if n_edge > MAX_EDGE_STATES:
         return False
     return all(min(abs(v - E) for E in char_roots) <= tol_raw for v in bulk)

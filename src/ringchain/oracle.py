@@ -8,9 +8,9 @@ order, which therefore sets the observed convergence order).  The result
 is a generalized Hermitian-definite pencil (K, M), banded with bandwidth 2
 in a position-interleaved node ordering.
 
-Small pencils are solved densely.  Above DENSE_LIMIT unknowns a window
-is counted exactly by the inertia of K - s*M at its ends (spectrum
-slicing), then solved by one shift-invert Lanczos call for that many pairs.
+Each window is counted exactly by the inertia of K - s*M at its ends and
+solved by shift-invert Lanczos for that many pairs, sliced at inertia-
+counted midpoints where one call cannot resolve it (spectrum slicing).
 
 Nothing here touches the dispersion function, Floquet multipliers, the
 quasi-polynomial recursion, or the coupling functions: spectra computed
@@ -24,14 +24,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import ChainParams
-from .errors import DimensionOverflow, FitFailed, SolverNoConvergence
+from .errors import DimensionOverflow, FitFailed, InvalidParameter, SolverNoConvergence
 
-DENSE_LIMIT = 1200
 # relative ARPACK tolerance; window queries never need eigenvalues beyond
 # this resolution, and machine-precision restarts choke on the
 # near-degenerate flat-band clusters
@@ -49,9 +47,9 @@ class TruncatedChain:
 
     def __post_init__(self):
         if self.n_rings % 2 == 0:
-            raise ValueError("n_rings must be odd so the perturbation can be centered")
+            raise InvalidParameter("n_rings must be odd so the perturbation can be centered")
         if self.points_per_edge < 64:
-            raise ValueError("need at least 64 points per edge")
+            raise InvalidParameter("need at least 64 points per edge")
 
     @property
     def h(self) -> float:
@@ -64,7 +62,7 @@ class TruncatedChain:
     def pattern_start(self, m: int) -> int:
         """First perturbed vertex (1-based) for a centered length-m pattern."""
         if self.n_rings < m + 6:
-            raise ValueError("chain too short: need n_rings >= pattern length + 6")
+            raise InvalidParameter("chain too short: need n_rings >= pattern length + 6")
         return (self.n_rings - 1 - m) // 2 + 1
 
 
@@ -97,10 +95,6 @@ class DiscreteOperator:
             )
 
         return build(self.kd, self.k1, self.k2), build(self.md, self.m1, self.m2)
-
-    def to_dense(self):
-        K, M = self.to_sparse()
-        return K.toarray(), M.toarray()
 
 
 def assemble(chain: TruncatedChain, gammas: Sequence[float]) -> DiscreteOperator:
@@ -162,47 +156,6 @@ def assemble(chain: TruncatedChain, gammas: Sequence[float]) -> DiscreteOperator
     return DiscreteOperator(chain, gammas, kd, k1, k2, md, m1, m2, vertex_nodes, ring_of_node)
 
 
-def _sigma_floor(op: DiscreteOperator) -> float:
-    """A shift strictly below the lowest eigenvalue.
-
-    The continuum operator is bounded below by the uniform chain with
-    every coupling lowered to the weakest value, whose spectrum lies
-    above -max(1, |alpha_w|/2)^2; a margin absorbs discretization error.
-    """
-    weakest = op.chain.params.alpha + min(0.0, min(op.gammas, default=0.0))
-    kf = max(1.0, 0.5 * abs(weakest))
-    return -(kf * kf) - 2.0
-
-
-def _start_vector(op: DiscreteOperator) -> np.ndarray:
-    """A fixed ARPACK start vector, so repeated solves agree to the last bit.
-    Random rather than constant: a constant vector is parity-even and would
-    starve the odd states of a symmetric chain."""
-    return np.random.default_rng(0).standard_normal(op.dim)
-
-
-def low_spectrum(op: DiscreteOperator, count: int) -> np.ndarray:
-    """Lowest `count` eigenvalues, ascending.
-
-    Dense solver up to DENSE_LIMIT unknowns, shift-invert Lanczos above.
-    """
-    if count < 1 or count > 50:
-        raise ValueError("count must be in 1..50")
-    if op.dim <= DENSE_LIMIT:
-        K, M = op.to_dense()
-        vals = scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_index=[0, count - 1])
-        return np.sort(vals)
-    K, M = op.to_sparse()
-    try:
-        vals = spla.eigsh(
-            K, k=count, M=M, sigma=_sigma_floor(op), which="LM",
-            return_eigenvectors=False, tol=ARPACK_TOL, v0=_start_vector(op),
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise SolverNoConvergence(str(exc)) from exc
-    return np.sort(vals.real)
-
-
 def eigen_count(K, M, s: float) -> int:
     """Number of pencil eigenvalues below s (Sylvester's law of inertia).
 
@@ -226,35 +179,49 @@ def eigen_count(K, M, s: float) -> int:
 def spectrum_window(op: DiscreteOperator, lo: float, hi: float):
     """All pencil eigenvalues in (lo, hi), ascending, with eigenvectors.
 
-    The dense path enumerates exactly.  The sparse path counts the window
-    by inertia and asks shift-invert Lanczos at the window's center for
-    that many eigenpairs, which are the window's since it is symmetric
-    about the shift.  Any other result raises SolverNoConvergence.
+    The window is counted by inertia and solved by shift-invert Lanczos at
+    its center for exactly that many eigenpairs, which are the window's
+    since it is symmetric about the shift.  When that call fails to
+    converge, finds a different number in the window, or would need
+    dim - 1 or more pairs, the window is cut at its midpoint and each
+    half is counted and solved the same way (spectrum slicing).  Only a
+    slice narrower than ARPACK's resolution that still holds eigenvalues
+    raises SolverNoConvergence.
     """
-    if op.dim <= DENSE_LIMIT:
-        K, M = op.to_dense()
-        return scipy.linalg.eigh(K, M, subset_by_value=[lo, hi])
     K, M = op.to_sparse()
-    count = eigen_count(K, M, hi) - eigen_count(K, M, lo)
-    if count == 0:
-        return np.empty(0), np.empty((op.dim, 0), dtype=complex)
-    try:
-        vals, vecs = spla.eigsh(
-            K, k=count, M=M, sigma=0.5 * (lo + hi), which="LM", tol=ARPACK_TOL, v0=_start_vector(op),
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise SolverNoConvergence(str(exc)) from exc
-    found = int(np.count_nonzero((vals > lo) & (vals < hi)))
-    if found != count:
-        raise SolverNoConvergence(f"ARPACK found {found} eigenvalues in ({lo}, {hi}); inertia counts {count}")
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    # a fixed start vector, so repeated solves agree to the last bit; random,
+    # since a constant one is parity-even and starves the odd states
+    v0 = np.random.default_rng(0).standard_normal(op.dim)
+
+    def solve(lo, n_lo, hi, n_hi):
+        count, center = n_hi - n_lo, 0.5 * (lo + hi)
+        if count == 0:
+            return [(np.empty(0), np.empty((op.dim, 0), dtype=complex))]
+        if count < op.dim - 1:
+            try:
+                vals, vecs = spla.eigsh(K, k=count, M=M, sigma=center, which="LM", tol=ARPACK_TOL, v0=v0)
+            except spla.ArpackNoConvergence:
+                pass
+            else:
+                if np.count_nonzero((vals > lo) & (vals < hi)) == count:
+                    order = np.argsort(vals)
+                    return [(vals[order], vecs[:, order])]
+        if hi - lo < ARPACK_TOL * max(1.0, abs(center)):
+            raise SolverNoConvergence(f"ARPACK cannot resolve the {count} eigenvalues in ({lo}, {hi})")
+        n_mid = eigen_count(K, M, center)
+        return solve(lo, n_lo, center, n_mid) + solve(center, n_mid, hi, n_hi)
+
+    vals, vecs = zip(*solve(lo, eigen_count(K, M, lo), hi, eigen_count(K, M, hi)))
+    return np.concatenate(vals), np.hstack(vecs)
+
+
+EDGE_SCORE = 0.5   # localization score above which a state is truncation debris
 
 
 def localization_scores(op: DiscreteOperator, vecs: np.ndarray) -> np.ndarray:
     """Fraction of measure-weighted mass in the outer two rings each side.
 
-    Scores above 0.5 identify states manufactured by the Dirichlet
+    Scores above EDGE_SCORE identify states manufactured by the Dirichlet
     truncation rather than by the perturbation.
     """
     weights = np.abs(vecs) ** 2 * op.md.real[:, None]
@@ -293,7 +260,7 @@ class ConvergenceStudy:
 def _window_state(op: DiscreteOperator, lo: float, hi: float, near: float) -> float:
     """The non-edge-localized window eigenvalue closest to `near`."""
     vals, vecs = spectrum_window(op, lo, hi)
-    bulk = vals[localization_scores(op, vecs) <= 0.5]
+    bulk = vals[localization_scores(op, vecs) <= EDGE_SCORE]
     if len(bulk) == 0:
         raise SolverNoConvergence(f"no eigenvalue but truncation edge states in ({lo}, {hi})")
     return float(bulk[np.argmin(np.abs(bulk - near))])

@@ -135,11 +135,12 @@ class TestExitCodes:
             ["distant", "--cosA", "0.7", "--g1", "-1.5", "--g2", "-1.5", "--n", "4", "--gap", "99"],
             ["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", "2"],
             ["distant", "--cosA", "0.7", "--alpha", "1", "--g1", "-1.5", "--g2", "-1.5", "--n", "-3"],
+            ["distant", "--cosA", "0.7", "--alpha", "1", "--g1", "-1.5", "--g2", "-1.5", "--n", "2.5"],
             ["distant", "--cosA", "0.7", "--g1", "0", "--g2", "-1.5", "--n", "4"],
             ["bands", "--cosA", "2"],
             ["impurity", "--cosA", "0.6", "--gamma", "nan"],
         ],
-        ids=["gap-negative", "distant-gap-99", "eps-2", "n-negative", "g1-zero", "cosA-2", "gamma-nan"],
+        ids=["gap-negative", "distant-gap-99", "eps-2", "n-negative", "n-fractional", "g1-zero", "cosA-2", "gamma-nan"],
     )
     def test_invalid_value_is_a_configuration_error(self, argv, capsys):
         assert main(argv) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from ringchain import (
     band_edges,
     convergence_study,
     lambda_small,
-    low_spectrum,
     solve_gap,
     spectrum_window,
 )
@@ -36,13 +36,13 @@ def gap0_state(p06):
 class TestAssembly:
     def test_hermitian(self, p06):
         op = assemble(TruncatedChain(9, 64, p06), [-1.5])
-        K, M = op.to_dense()
+        K, M = (X.toarray() for X in op.to_sparse())
         assert np.abs(K - K.conj().T).max() <= 1e-12
         assert np.abs(M - M.conj().T).max() <= 1e-12
 
     def test_mass_positive_definite(self, p06):
         op = assemble(TruncatedChain(9, 64, p06), [0.0])
-        _, M = op.to_dense()
+        M = op.to_sparse()[1].toarray()
         assert np.linalg.eigvalsh(M).min() > 0
 
     def test_dimension(self, p06):
@@ -63,13 +63,13 @@ class TestAssembly:
     def test_free_chain_nonnegative(self):
         p = ChainParams(0.0, 0.0)
         op = assemble(TruncatedChain(9, 64, p), [0.0])
-        vals = low_spectrum(op, 5)
-        assert vals[0] >= -1e-10
+        assert eigen_count(*op.to_sparse(), -1e-10) == 0
 
     def test_gauge_period_exact(self):
         a = assemble(TruncatedChain(9, 64, ChainParams(0.25, 1.0)), [-1.5])
         b = assemble(TruncatedChain(9, 64, ChainParams(1.25, 1.0)), [-1.5])
-        va, vb = low_spectrum(a, 8), low_spectrum(b, 8)
+        (va, _), (vb, _) = (spectrum_window(op, -10.0, 3.0) for op in (a, b))
+        assert len(va) >= 8 and len(va) == len(vb)
         assert np.abs(va - vb).max() <= 1e-8
 
 
@@ -132,14 +132,40 @@ class TestAssemblyBitIdentity:
 
 
 def _dense_spectrum(op):
-    K, M = op.to_dense()
+    """Every pencil eigenvalue from dense LAPACK, the reference for the
+    sparse path."""
+    K, M = (X.toarray() for X in op.to_sparse())
     if not (K.imag.any() or M.imag.any()):   # a real pencil solves about 5x faster
         K, M = K.real, M.real
     return scipy.linalg.eigh(K, M, eigvals_only=True)
 
 
+RESOLVED = 1e-10   # no dense eigenvalue is this close to a tested shift
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(0.7, 7, 90), (-1.0, 7, 90), (1.0, 9, 90)],
+    ids=["magnetic", "cos-1", "cos+1"],
+)
+def dense_pencil(request):
+    """A seeded pencil with its dense spectrum: magnetic dim 1252, cos = -1
+    dim 1252, cos = +1 dim 1610 (a dense complex eigh at dim 2920 takes
+    about 40 s, so these stay small)."""
+    cos_flux, n_rings, M = request.param
+    rng = np.random.default_rng(int(1000 * (cos_flux + 2)))
+    params = ChainParams.from_cos_flux(cos_flux, float(rng.uniform(-3.0, 3.0)))
+    op = assemble(TruncatedChain(n_rings, M, params), [float(rng.uniform(-2.2, 2.2))])
+    return op, _dense_spectrum(op)
+
+
+def _cluster(vals, E):
+    """The discrete flat-band cluster at E = n^2."""
+    return vals[np.abs(vals - E) < 1e-3]
+
+
 class TestInertiaCount:
-    """eigen_count against dense LAPACK on pencils above DENSE_LIMIT.
+    """eigen_count against dense LAPACK.
 
     Shifts sit at E = n^2, 1e-9 either side of the discrete flat-band
     cluster there (n_rings + 1 eigenvalues spread over ~1e-12), between
@@ -147,39 +173,29 @@ class TestInertiaCount:
     closer together than either solver resolves, so no shift is placed
     among them."""
 
-    RESOLVED = 1e-10   # no dense eigenvalue is this close to a tested shift
-
-    @pytest.mark.parametrize(
-        "cos_flux,n_rings,M",
-        [(0.7, 7, 90), (-1.0, 7, 90), (1.0, 9, 90)],
-        ids=["magnetic", "cos-1", "cos+1"],
-    )
-    def test_counts_match_dense_eigh(self, cos_flux, n_rings, M):
-        rng = np.random.default_rng(int(1000 * (cos_flux + 2)))
-        params = ChainParams.from_cos_flux(cos_flux, float(rng.uniform(-3.0, 3.0)))
-        op = assemble(TruncatedChain(n_rings, M, params), [float(rng.uniform(-2.2, 2.2))])
-        assert 1200 < op.dim < 3000
-        vals = _dense_spectrum(op)
+    def test_counts_match_dense_eigh(self, dense_pencil):
+        op, vals = dense_pencil
         K, Mm = op.to_sparse()
+        rng = np.random.default_rng(op.dim)
 
         shifts = [float(rng.uniform(-10.0, 40.0)) for _ in range(20)]
         low = vals[vals < 40.0]
         wide = np.diff(low) > 1e-6
         shifts += list(0.5 * (low[1:] + low[:-1])[wide][::3])
         for n in range(1, 7):
-            cluster = vals[np.abs(vals - n * n) < 1e-3]
-            assert len(cluster) >= n_rings
+            cluster = _cluster(vals, n * n)
+            assert len(cluster) >= op.chain.n_rings
             shifts += [n * n, cluster.min() - 1e-9, cluster.max() + 1e-9]
 
         checked = 0
         for s in shifts:
-            if np.abs(vals - s).min() <= self.RESOLVED:
+            if np.abs(vals - s).min() <= RESOLVED:
                 continue
             assert eigen_count(K, Mm, s) == np.count_nonzero(vals < s), s
             checked += 1
         assert checked >= 40
         # a window with both edges beside one cluster holds all of it
-        cluster = vals[np.abs(vals - 4.0) < 1e-3]
+        cluster = _cluster(vals, 4.0)
         lo, hi = cluster.min() - 1e-9, cluster.max() + 1e-9
         assert eigen_count(K, Mm, hi) - eigen_count(K, Mm, lo) == len(cluster)
 
@@ -220,47 +236,71 @@ class TestSpectra:
         assert len(bulk) == 1
         assert abs(bulk[0] - state.E) <= 1e-4
 
-    def test_low_spectrum_count_limits(self, p06):
-        op = assemble(TruncatedChain(9, 64, p06), [0.0])
-        with pytest.raises(ValueError):
-            low_spectrum(op, 0)
-        with pytest.raises(ValueError):
-            low_spectrum(op, 51)
-
-    def test_dense_and_sparse_paths_agree(self, p06):
-        # dim 1142 uses the dense path; compare to a forced sparse solve
-        import scipy.sparse.linalg as spla
-
-        op = assemble(TruncatedChain(9, 64, p06), [-2.0])
-        dense_vals = low_spectrum(op, 6)
-        K, M = op.to_sparse()
-        sparse_vals = np.sort(
-            spla.eigsh(K, k=6, M=M, sigma=-9.0, which="LM", return_eigenvectors=False)
-        )
-        assert np.abs(dense_vals - sparse_vals).max() <= 1e-8
+    def test_dense_and_sparse_paths_agree(self, dense_pencil):
+        # from below the spectrum across the flat-band clusters at 1, 4
+        # and 9, and the cluster at 4 alone (its members ~1e-12 apart)
+        op, vals = dense_pencil
+        above = vals[vals > 9.5]
+        cluster = _cluster(vals, 4.0)
+        windows = [(vals[0] - 1.0, 0.5 * (above[0] + above[1])),
+                   (cluster.min() - 1e-9, cluster.max() + 1e-9)]
+        for lo, hi in windows:
+            want = vals[(vals > lo) & (vals < hi)]
+            assert min(np.abs(vals - lo).min(), np.abs(vals - hi).min()) > RESOLVED
+            got, vecs = spectrum_window(op, lo, hi)
+            assert len(got) == len(want) and vecs.shape == (op.dim, len(want))
+            assert np.abs(got - want).max() <= 1e-9
+        assert len(want) >= op.chain.n_rings
 
     def test_sparse_path_repeats_exactly(self, p06):
-        # dim 1396 is above DENSE_LIMIT, so both calls go through ARPACK
+        # the fixed ARPACK start vector makes repeated solves bit-identical
         op = assemble(TruncatedChain(11, 64, p06), [-2.0])
-        assert np.array_equal(low_spectrum(op, 4), low_spectrum(op, 4))
         (v1, _), (v2, _) = (spectrum_window(op, -3.0, 0.5) for _ in range(2))
         assert len(v1) > 0 and np.array_equal(v1, v2)
-
 
     def test_sparse_window_is_never_short(self):
         # with a doubling neighbourhood capped at 96 eigenpairs, these
         # windows came back with 49 of 70 and 128 of 150 eigenvalues
-        # (the totals are dense scipy.linalg.eigh counts)
+        # (the totals are dense scipy.linalg.eigh counts); one ARPACK call
+        # for the 150 finds only 149 in the window, so that one is sliced
         op = assemble(TruncatedChain(13, 64, ChainParams.from_cos_flux(0.7, 1.0)), [-1.5])
-        assert op.dim > 1200
         vals, vecs = spectrum_window(op, 0.5, 9.0)
         assert len(vals) == 70 and vecs.shape == (op.dim, 70)
         assert np.all(np.diff(vals) >= 0) and vals[0] > 0.5 and vals[-1] < 9.0
-        try:
-            vals, _ = spectrum_window(op, 0.5, 40.0)
-        except SolverNoConvergence:
-            return
-        assert len(vals) == 150
+        vals, vecs = spectrum_window(op, 0.5, 40.0)
+        assert len(vals) == 150 and vecs.shape == (op.dim, 150)
+        assert np.all(np.diff(vals) >= 0) and vals[0] > 0.5 and vals[-1] < 40.0
+
+    def test_whole_spectrum_window(self, p06):
+        # a window holding every eigenvalue needs k >= dim - 1 pairs, which
+        # ARPACK refuses with a TypeError; slicing enumerates it.  A leading
+        # principal block of a chain pencil is again Hermitian-definite and
+        # keeps this cheap (the whole dim-1396 pencil enumerates too, in
+        # about 80 s)
+        op = assemble(TruncatedChain(11, 64, p06), [0.0])
+        n = 240
+        block = dataclasses.replace(
+            op, kd=op.kd[:n], k1=op.k1[:n - 1], k2=op.k2[:n - 2],
+            md=op.md[:n], m1=op.m1[:n - 1], m2=op.m2[:n - 2],
+        )
+        vals, vecs = spectrum_window(block, -10.0, 1e7)
+        want = _dense_spectrum(block)
+        assert len(vals) == n and vecs.shape == (n, n)
+        assert np.abs(vals - want).max() <= 1e-9 * max(1.0, want.max())
+
+    def test_slicing_stops_at_arpack_resolution(self, p06, monkeypatch):
+        # an ARPACK that never converges: slicing halves the window until
+        # the slice holding eigenvalues is narrower than ARPACK_TOL, then
+        # raises instead of recursing on
+        import scipy.sparse.linalg as spla
+
+        def never(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        op = assemble(TruncatedChain(9, 64, p06), [0.0])
+        monkeypatch.setattr(spla, "eigsh", never)
+        with pytest.raises(SolverNoConvergence, match="cannot resolve"):
+            spectrum_window(op, 0.9, 1.1)
 
     def test_empty_sparse_window(self, p06):
         op = assemble(TruncatedChain(11, 64, p06), [0.0])
