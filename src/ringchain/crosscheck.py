@@ -117,9 +117,13 @@ def run_cases(seed: int, n_cases: int) -> list[CaseResult]:
         case += 1
         lam_max = max(t[2] for t in roots)
         n_rings = rings_for(lam_max, len(gammas))
-        all_char = {}
-        for gi, st, lam in roots:
-            all_char.setdefault(gi, []).append(st.E)
+        # every characteristic root of a checked gap, verified or not, may
+        # explain an oracle state in its window
+        pattern = impurity_mod.PerturbationPattern(gammas)
+        all_char = {
+            gi: [s.E for s in impurity_mod.solve_gap(pattern, layout.gaps[gi], params, gap_index=gi)]
+            for gi in {gi for gi, _, _ in roots}
+        }
         for gi, st, lam in roots:
             window = _gap_window(layout.gaps[gi], layout, st.E)
             try:

@@ -9,8 +9,13 @@ is a generalized Hermitian-definite pencil (K, M), banded with bandwidth 2
 in a position-interleaved node ordering.
 
 Each window is counted exactly by the inertia of K - s*M at its ends and
-solved by shift-invert Lanczos for that many pairs, sliced at inertia-
-counted midpoints where one call cannot resolve it (spectrum slicing).
+solved by shift-invert Lanczos for that many pairs, in a Krylov space of
+2k+1 vectors, sliced at inertia-counted midpoints where one call cannot
+resolve it (spectrum slicing).
+
+Work is done once: `assemble` returns a shared operator from a small LRU
+of recent (chain, pattern) pairs, and each operator keeps its sparse
+pencil and every window it has solved.  Shared arrays are read-only.
 
 Nothing here touches the dispersion function, Floquet multipliers, the
 quasi-polynomial recursion, or the coupling functions: spectra computed
@@ -19,8 +24,9 @@ from this module are an independent check on all of them.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +40,9 @@ from .errors import DimensionOverflow, FitFailed, InvalidParameter, SolverNoConv
 # this resolution, and machine-precision restarts choke on the
 # near-degenerate flat-band clusters
 ARPACK_TOL = 1e-10
+
+# operators kept by assemble: the refinement levels of one configuration
+ASSEMBLE_CACHE = 3
 
 
 @dataclass(frozen=True)
@@ -66,10 +75,14 @@ class TruncatedChain:
         return (self.n_rings - 1 - m) // 2 + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteOperator:
     """Banded Hermitian-definite pencil (K, M); eigenvalues of K u = E M u
-    approximate the chain spectrum."""
+    approximate the chain spectrum.
+
+    Frozen, with read-only arrays, because `assemble` shares it.  It keeps
+    its sparse pencil and the windows `spectrum_window` has solved on it;
+    a copy made with `dataclasses.replace` starts with neither."""
 
     chain: TruncatedChain
     gammas: tuple[float, ...]
@@ -81,32 +94,53 @@ class DiscreteOperator:
     m2: np.ndarray
     vertex_nodes: np.ndarray   # global node index of interior vertex j (1..R-1)
     ring_of_node: np.ndarray   # ring index 0..R-1 for every node
+    _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("kd", "k1", "k2", "md", "m1", "m2", "vertex_nodes", "ring_of_node"):
+            getattr(self, name).flags.writeable = False
 
     @property
     def dim(self) -> int:
         return len(self.kd)
 
     def to_sparse(self):
+        """The pencil (K, M) as CSC matrices, built once per operator;
+        their data arrays are read-only."""
+        return self._pencil
+
+    @functools.cached_property
+    def _pencil(self):
         def build(d, o1, o2):
-            return sp.diags(
+            X = sp.diags(
                 [np.conj(o2), np.conj(o1), d, o1, o2],
                 offsets=[-2, -1, 0, 1, 2],
                 format="csc",
             )
+            X.data.flags.writeable = False
+            return X
 
         return build(self.kd, self.k1, self.k2), build(self.md, self.m1, self.m2)
 
 
 def assemble(chain: TruncatedChain, gammas: Sequence[float]) -> DiscreteOperator:
-    """Build the pencil for the chain with a centered perturbation pattern.
+    """The pencil for the chain with a centered perturbation pattern.
+
+    Operators are shared: the last ASSEMBLE_CACHE distinct (chain, gammas)
+    pairs, gammas taken as a tuple of floats, return the same (read-only)
+    operator, with the windows already solved on it.
 
     Node ordering: ring r occupies [r*(2I+1) - 1, ...) with its left vertex
     first (absent for ring 0), then interleaved (upper_i, lower_i) pairs;
     the terminal vertices are Dirichlet and carry no node.
     """
+    return _assemble(chain, tuple(float(g) for g in gammas))
+
+
+@functools.lru_cache(maxsize=ASSEMBLE_CACHE)
+def _assemble(chain: TruncatedChain, gammas: tuple[float, ...]) -> DiscreteOperator:
     if chain.dim > chain.max_dim:
         raise DimensionOverflow(f"dim {chain.dim} exceeds cap {chain.max_dim}")
-    gammas = tuple(float(g) for g in gammas)
     start = chain.pattern_start(len(gammas))
 
     n = chain.dim
@@ -180,14 +214,21 @@ def spectrum_window(op: DiscreteOperator, lo: float, hi: float):
     """All pencil eigenvalues in (lo, hi), ascending, with eigenvectors.
 
     The window is counted by inertia and solved by shift-invert Lanczos at
-    its center for exactly that many eigenpairs, which are the window's
-    since it is symmetric about the shift.  When that call fails to
-    converge, finds a different number in the window, or would need
-    dim - 1 or more pairs, the window is cut at its midpoint and each
-    half is counted and solved the same way (spectrum slicing).  Only a
-    slice narrower than ARPACK's resolution that still holds eigenvalues
-    raises SolverNoConvergence.
+    its center for exactly that many eigenpairs k, which are the window's
+    since it is symmetric about the shift.  ARPACK gets ncv = 2k+1 Lanczos
+    vectors (its own rule, without scipy's floor of 20): the centered
+    shift makes the k wanted pairs dominant, so few vectors suffice.  When
+    that call fails to converge, finds a different number in the window,
+    or would need dim - 1 or more pairs, the window is cut at its midpoint
+    and each half is counted and solved the same way (spectrum slicing).
+    Only a slice narrower than ARPACK's resolution that still holds
+    eigenvalues raises SolverNoConvergence.
+
+    The result is memoised on the operator by (lo, hi) and both arrays
+    are read-only, so a repeated window costs nothing.
     """
+    if (lo, hi) in op._windows:
+        return op._windows[lo, hi]
     K, M = op.to_sparse()
     # a fixed start vector, so repeated solves agree to the last bit; random,
     # since a constant one is parity-even and starves the odd states
@@ -199,7 +240,8 @@ def spectrum_window(op: DiscreteOperator, lo: float, hi: float):
             return [(np.empty(0), np.empty((op.dim, 0), dtype=complex))]
         if count < op.dim - 1:
             try:
-                vals, vecs = spla.eigsh(K, k=count, M=M, sigma=center, which="LM", tol=ARPACK_TOL, v0=v0)
+                vals, vecs = spla.eigsh(K, k=count, M=M, sigma=center, which="LM", tol=ARPACK_TOL, v0=v0,
+                                        ncv=min(2 * count + 1, op.dim))
             except spla.ArpackNoConvergence:
                 pass
             else:
@@ -212,7 +254,10 @@ def spectrum_window(op: DiscreteOperator, lo: float, hi: float):
         return solve(lo, n_lo, center, n_mid) + solve(center, n_mid, hi, n_hi)
 
     vals, vecs = zip(*solve(lo, eigen_count(K, M, lo), hi, eigen_count(K, M, hi)))
-    return np.concatenate(vals), np.hstack(vecs)
+    vals, vecs = np.concatenate(vals), np.hstack(vecs)
+    vals.flags.writeable = vecs.flags.writeable = False
+    op._windows[lo, hi] = vals, vecs
+    return vals, vecs
 
 
 EDGE_SCORE = 0.5   # localization score above which a state is truncation debris

@@ -253,10 +253,39 @@ class TestSpectra:
         assert len(want) >= op.chain.n_rings
 
     def test_sparse_path_repeats_exactly(self, p06):
-        # the fixed ARPACK start vector makes repeated solves bit-identical
+        # the fixed ARPACK start vector makes repeated solves bit-identical;
+        # two operator objects, so the second is solved, not recalled
         op = assemble(TruncatedChain(11, 64, p06), [-2.0])
-        (v1, _), (v2, _) = (spectrum_window(op, -3.0, 0.5) for _ in range(2))
+        (v1, _), (v2, _) = (spectrum_window(o, -3.0, 0.5) for o in (op, dataclasses.replace(op)))
+        assert v1 is not v2
         assert len(v1) > 0 and np.array_equal(v1, v2)
+
+    def test_few_eigenvalue_windows(self, dense_pencil):
+        # ARPACK gets 2k+1 Lanczos vectors for k pairs; the hardest windows
+        # for so few hold 1-3 eigenvalues and end just outside a band edge
+        # or a flat-band cluster, with the rest of the band or the cluster
+        # right beyond the window
+        op, vals = dense_pencil
+        layout = band_edges(op.chain.params, 40.0)
+        ends = [(lo - 1e-3, +1) for lo, hi in layout.bands if lo > vals[0]]
+        ends += [(hi + 1e-3, -1) for lo, hi in layout.bands if hi < 40.0]
+        for n in range(1, 7):
+            cluster = _cluster(vals, n * n)
+            ends += [(cluster.max() + 1e-9, +1), (cluster.min() - 1e-9, -1)]
+        checked = 0
+        for i, (edge, side) in enumerate(ends):
+            k = 1 + i % 3
+            j = np.searchsorted(vals, edge)
+            inner = vals[j:j + k + 1] if side > 0 else vals[j - k - 1:j][::-1]
+            if np.abs(vals - edge).min() <= RESOLVED or abs(inner[-1] - inner[-2]) <= 1e-6:
+                continue
+            lo, hi = sorted((edge, 0.5 * (inner[-1] + inner[-2])))
+            want = vals[(vals > lo) & (vals < hi)]
+            got, vecs = spectrum_window(op, lo, hi)
+            assert len(want) == k and len(got) == k and vecs.shape == (op.dim, k), (lo, hi)
+            assert np.abs(got - want).max() <= 1e-9, (lo, hi)
+            checked += 1
+        assert checked >= 12
 
     def test_sparse_window_is_never_short(self):
         # with a doubling neighbourhood capped at 96 eigenpairs, these
@@ -297,7 +326,8 @@ class TestSpectra:
         def never(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        op = assemble(TruncatedChain(9, 64, p06), [0.0])
+        # a fresh copy: other tests solve this window on the shared operator
+        op = dataclasses.replace(assemble(TruncatedChain(9, 64, p06), [0.0]))
         monkeypatch.setattr(spla, "eigsh", never)
         with pytest.raises(SolverNoConvergence, match="cannot resolve"):
             spectrum_window(op, 0.9, 1.1)
@@ -309,6 +339,70 @@ class TestSpectra:
         assert eigen_count(K, M, hi) == eigen_count(K, M, lo)
         vals, vecs = spectrum_window(op, lo, hi)
         assert vals.shape == (0,) and vecs.shape == (op.dim, 0)
+
+
+class TestReuse:
+    """assemble shares operators and spectrum_window memoises windows."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        from ringchain import oracle
+
+        counts = {"eigsh": 0, "eigen_count": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spla, "eigsh", counted("eigsh", spla.eigsh))
+        monkeypatch.setattr(oracle, "eigen_count", counted("eigen_count", oracle.eigen_count))
+        return counts
+
+    def test_spurious_check_after_study_solves_nothing(self, p06, gap0_state, solves):
+        from ringchain import crosscheck
+
+        _, state = gap0_state
+        # a ring count and window that no other test solves
+        window, levels = (state.E - 0.09, state.E + 0.11), (64, 96, 128)
+        convergence_study(p06, [-2.0], levels, 11, window, reference=state.E)
+        assert solves["eigsh"] == 3 and solves["eigen_count"] >= 6
+        before = dict(solves)
+        assert crosscheck._check_spurious(p06, (-2.0,), 11, 128, window, [state.E], crosscheck.TOL_RAW)
+        assert solves == before
+
+    def test_assemble_shares_by_value(self, p06):
+        chain = TruncatedChain(9, 64, p06)
+        op = assemble(chain, [-1.25])
+        assert assemble(TruncatedChain(9, 64, p06), (np.float64(-1.25),)) is op
+        assert op.gammas == (-1.25,) and type(op.gammas[0]) is float
+        assert assemble(chain, [-1.5]) is not op
+
+    def test_results_are_read_only(self, p06):
+        op = assemble(TruncatedChain(9, 64, p06), [-1.25])
+        vals, vecs = spectrum_window(op, -3.0, 0.5)
+        assert spectrum_window(op, -3.0, 0.5)[0] is vals
+        K, M = op.to_sparse()
+        assert op.to_sparse()[0] is K
+        for a in (vals, vecs, op.kd, op.k1, op.k2, op.md, op.m1, op.m2,
+                  op.vertex_nodes, op.ring_of_node, K.data, M.data):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_replaced_operator_has_its_own_memo(self, p06):
+        # a copy with another diagonal must solve its own pencil, not
+        # recall the original's windows or reuse its sparse matrices
+        op = assemble(TruncatedChain(9, 64, p06), [-1.25])
+        v1, _ = spectrum_window(op, -3.0, 0.5)
+        shifted = dataclasses.replace(op, kd=op.kd + 0.5 * op.md)
+        v2, _ = spectrum_window(shifted, -3.0, 0.5)
+        K, M = shifted.to_sparse()
+        assert np.array_equal(K.diagonal(), shifted.kd)
+        assert eigen_count(K, M, 0.5) - eigen_count(K, M, -3.0) == len(v2)
+        assert len(v2) != len(v1) or np.abs(v2 - v1).max() > 1e-3
 
 
 class TestEigenvectorDecay:
@@ -370,3 +464,23 @@ class TestConvergence:
         )
         rows = study.to_csv_rows()
         assert len(rows) == 3 and len(rows[0]) == 5
+
+
+class TestCrossCheck:
+    def test_unverified_root_in_the_window_is_not_spurious(self):
+        # case 10 of seed 3 verifies its two deepest roots, one in gap 0 and
+        # 0.72376 in gap 1; the gap's other root, 0.69128, is not verified
+        # but lies in the window, and its oracle state used to count as
+        # spurious
+        from ringchain import crosscheck
+
+        results = crosscheck.run_cases(3, 10)
+        (r,) = [r for r in results if r.index == 10 and r.gap_index == 1]
+        p = ChainParams.from_cos_flux(r.cos_flux, r.alpha)
+        layout = band_edges(p, 12.0)
+        lo, hi = crosscheck._gap_window(layout.gaps[1], layout, r.E_char)
+        others = [s.E for s in solve_gap(PerturbationPattern(r.gammas), layout.gaps[1], p)
+                  if s.E != r.E_char and lo < s.E < hi]
+        assert others and all(s.E_char not in others for s in results)
+        assert r.spurious_ok and r.matched
+        assert all(s.matched for s in results)
