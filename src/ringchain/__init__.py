@@ -54,9 +54,8 @@ from .asymptotics import (
     weak_predictor,
 )
 from .transfer import (
+    PQ_SEED,
     LatticeSolution,
-    PQState,
-    Transfer2,
     bound_state_lattice,
     eigenvectors,
     identical_closed_form,

@@ -193,7 +193,6 @@ def distant_solve(
     gap: tuple[float, float],
     params: ChainParams,
     gap_index: int = 0,
-    tol_root: float = 1e-13,
 ) -> list[ImpurityState]:
     """Roots of the distant-pair characteristic equation in one gap piece.
 
@@ -207,9 +206,9 @@ def distant_solve(
         for sign in (1.0, -1.0):
             roots += find_roots(
                 lambda E: _pair_branch(f_single(E, params), lambda_small(E, params.alpha, params), pair, sign),
-                grid, tol_root)
+                grid, 1e-13)
     else:
-        roots = find_roots(lambda E: distant_residual(E, pair, params), grid, tol_root)
+        roots = find_roots(lambda E: distant_residual(E, pair, params), grid, 1e-13)
     return interior_states(sorted(roots), gap, gap_index, lambda E: distant_residual(E, pair, params))
 
 

@@ -64,12 +64,6 @@ class SpectrumLayout:
     gaps: list[tuple[float, float]]    # open intervals; gaps[0][0] == -inf
     flat_bands: list[FlatBand]
 
-    def gap_index_of(self, E: float) -> int | None:
-        for i, (lo, hi) in enumerate(self.gaps):
-            if lo < E < hi:
-                return i
-        return None
-
     def to_json_dict(self) -> dict:
         return {
             "regime": self.regime,

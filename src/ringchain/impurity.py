@@ -24,7 +24,7 @@ import numpy as np
 from . import band as band_mod
 from .core import ChainParams, f_single, find_roots, gap_surd, kernels, on_flat_band, s_kernel, xi, xi_background
 from .errors import FlatBandPole, InvalidParameter
-from .transfer import PQState, pq_advance
+from .transfer import PQ_SEED, pq_advance
 
 EDGE_DISCARD = 1e-8     # roots this close to a gap edge are band, not bound
 GRID_POINTS = 600       # base scan resolution per gap piece
@@ -64,20 +64,19 @@ class ImpurityState:
     E: float
     gap_index: int
     residual: float
-    multiplicity: int = 1
 
 
 def char_residual(E, pattern: PerturbationPattern, params: ChainParams):
     """Left side of the characteristic equation at lambda = lambda_small(E);
-    over an array, NaN inside bands and on flat bands."""
+    over an array, NaN inside bands and on flat bands.  xi is evaluated
+    once per distinct coupling."""
     cs = kernels(E)
     x = xi(E, params.alpha, params, cs)
     sgn, root = gap_surd(E, x)
     lam = sgn / (abs(x) + root)
-    state = PQState.seed()
-    for g in pattern.gammas:
-        state = pq_advance(state, xi(E, params.alpha + g, params, cs))
-    return state.Q_prev * lam * lam - (state.P_prev + state.Q) * lam + state.P
+    by_gamma = {g: xi(E, params.alpha + g, params, cs) for g in set(pattern.gammas)}
+    P, Q, P_prev, Q_prev = pq_advance(PQ_SEED, [by_gamma[g] for g in pattern.gammas])
+    return Q_prev * lam * lam - (P_prev + Q) * lam + P
 
 
 def gap0_scan_floor(pattern: PerturbationPattern, params: ChainParams) -> float:

@@ -7,8 +7,8 @@ satisfy the three-term relation
 
 propagated by the unimodular matrix N_j = [[2*xi_j, -1], [1, 0]] acting on
 (psi_j, psi_{j-1}).  Products of N_j are evaluated through the P/Q
-recursion, with a Chebyshev closed form when all vertices carry the same
-coupling.  Reconstruction maps lattice data back to the continuum edge
+recursion on plain 4-tuples, with a Chebyshev closed form when all
+vertices carry the same coupling; matrices are 2x2 float ndarrays.  Reconstruction maps lattice data back to the continuum edge
 functions; the gauge factors exp(+-iA(x - j*pi)) make those complex, but
 all spectral logic stays real.
 """
@@ -35,87 +35,40 @@ from .core import (
 from .errors import FlatBandPole
 
 
-@dataclass(frozen=True)
-class Transfer2:
-    """Real 2x2 transfer matrix with unit determinant."""
-
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-    @property
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def __matmul__(self, other: "Transfer2") -> "Transfer2":
-        return Transfer2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
-    def apply(self, v: Sequence[float]) -> np.ndarray:
-        return np.array([self.a11 * v[0] + self.a12 * v[1], self.a21 * v[0] + self.a22 * v[1]])
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]])
+# (P_0, Q_0, P_{-1}, Q_{-1}): the first advance gives P_1 = 2*xi_1, Q_1 = 1
+PQ_SEED = (1.0, 0.0, 0.0, -1.0)
 
 
-@dataclass(frozen=True)
-class PQState:
-    """Quasi-polynomial quadruple (P_m, Q_m, P_{m-1}, Q_{m-1}).
+def pq_advance(state, xis):
+    """(P_m, Q_m, P_{m-1}, Q_{m-1}) advanced across xis by
+    P_{j+1} = 2*xi_{j+1}*P_j - P_{j-1} (Q analogous); floats or arrays.
 
-    Seeds: P_0 = 1, Q_0 = 0 with (formal) P_{-1} = 0, Q_{-1} = -1 so the
-    first advance reproduces P_1 = 2*xi_1, Q_1 = 1.  The unimodularity
-    of the product reads Q_m * P_{m-1} - P_m * Q_{m-1} = 1 at every step.
+    The unimodularity of the product reads Q_m * P_{m-1} - P_m * Q_{m-1} = 1
+    at every step.
     """
-
-    P: float
-    Q: float
-    P_prev: float
-    Q_prev: float
-    m: int
-
-    @classmethod
-    def seed(cls) -> "PQState":
-        return cls(P=1.0, Q=0.0, P_prev=0.0, Q_prev=-1.0, m=0)
-
-    def det_defect(self) -> float:
-        return self.Q * self.P_prev - self.P * self.Q_prev - 1.0
+    P, Q, P_prev, Q_prev = state
+    for x in xis:
+        two_xi = 2.0 * x
+        P, Q, P_prev, Q_prev = two_xi * P - P_prev, two_xi * Q - Q_prev, P, Q
+    return P, Q, P_prev, Q_prev
 
 
-def pq_advance(state: PQState, xi_next: float) -> PQState:
-    """One step of P_{m+1} = 2*xi_{m+1}*P_m - P_{m-1} (Q analogous)."""
-    two_xi = 2.0 * xi_next
-    return PQState(
-        P=two_xi * state.P - state.P_prev,
-        Q=two_xi * state.Q - state.Q_prev,
-        P_prev=state.P,
-        Q_prev=state.Q,
-        m=state.m + 1,
-    )
-
-
-def local_matrix(E: float, gamma: float, params: ChainParams) -> Transfer2:
+def local_matrix(E: float, gamma: float, params: ChainParams) -> np.ndarray:
     """Single-vertex transfer matrix [[2*xi_j, -1], [1, 0]].
 
     gamma is the perturbation of the vertex coupling; the dispersion
     value uses alpha + gamma.
     """
     x = xi(E, params.alpha + gamma, params)
-    return Transfer2(2.0 * x, -1.0, 1.0, 0.0)
+    return np.array([[2.0 * x, -1.0], [1.0, 0.0]])
 
 
-def product_matrix(E: float, gammas: Sequence[float], params: ChainParams) -> Transfer2:
+def product_matrix(E: float, gammas: Sequence[float], params: ChainParams) -> np.ndarray:
     """Ordered product N_m ... N_1 via the P/Q recursion."""
     if len(gammas) < 1:
         raise ValueError("need at least one vertex in the pattern")
-    state = PQState.seed()
-    for g in gammas:
-        state = pq_advance(state, xi(E, params.alpha + g, params))
-    return Transfer2(state.P, -state.Q, state.P_prev, -state.Q_prev)
+    P, Q, P_prev, Q_prev = pq_advance(PQ_SEED, [xi(E, params.alpha + g, params) for g in gammas])
+    return np.array([[P, -Q], [P_prev, -Q_prev]])
 
 
 def chebyshev_u(m: int, x: float) -> float:
@@ -143,7 +96,7 @@ def chebyshev_u(m: int, x: float) -> float:
     return sign * math.sinh(num) / math.sinh(t)
 
 
-def identical_closed_form(E: float, gamma: float, m: int, params: ChainParams) -> Transfer2:
+def identical_closed_form(E: float, gamma: float, m: int, params: ChainParams) -> np.ndarray:
     """Closed form of the m-fold product when every gamma_j equals gamma.
 
     Entries are Chebyshev polynomials of the second kind in xi_1; both
@@ -152,12 +105,10 @@ def identical_closed_form(E: float, gamma: float, m: int, params: ChainParams) -
     if m < 1:
         raise ValueError("m must be >= 1")
     x1 = xi(E, params.alpha + gamma, params)
-    return Transfer2(
-        chebyshev_u(m, x1),
-        -chebyshev_u(m - 1, x1),
-        chebyshev_u(m - 1, x1),
-        -chebyshev_u(m - 2, x1),
-    )
+    return np.array([
+        [chebyshev_u(m, x1), -chebyshev_u(m - 1, x1)],
+        [chebyshev_u(m - 1, x1), -chebyshev_u(m - 2, x1)],
+    ])
 
 
 def eigenvectors(E: float, params: ChainParams) -> tuple[np.ndarray, np.ndarray]:

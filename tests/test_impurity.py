@@ -17,10 +17,12 @@ from ringchain import (
     lambda_small,
     solve_gap,
 )
-from ringchain.core import s_kernel
+from ringchain import impurity
+from ringchain.core import gap_surd, kernels, s_kernel, xi
 from ringchain.impurity import all_states, results_json_dict
 from ringchain.transfer import bound_state_lattice, vertex_condition_residual, ring_l2_norm
 from tests.test_core import coupling_for_xi
+from tests.test_kernels_vec import PARAMS, PATTERN_IDS, PATTERNS, float_on_grid
 
 
 def gap_samples(layout, gap_index, n, margin=1e-4):
@@ -30,7 +32,45 @@ def gap_samples(layout, gap_index, n, margin=1e-4):
     return np.linspace(lo + margin, hi - margin, n)
 
 
+def per_vertex_residual(E, pattern, params):
+    """char_residual on a float as first written, with xi and one
+    recursion step per vertex (test oracle)."""
+    cs = kernels(E)
+    x = xi(E, params.alpha, params, cs)
+    sgn, root = gap_surd(E, x)
+    lam = sgn / (abs(x) + root)
+    P, Q, P_prev, Q_prev = 1.0, 0.0, 0.0, -1.0
+    for g in pattern.gammas:
+        two_xi = 2.0 * xi(E, params.alpha + g, params, cs)
+        P, Q, P_prev, Q_prev = two_xi * P - P_prev, two_xi * Q - Q_prev, P, Q
+    return Q_prev * lam * lam - (P_prev + Q) * lam + P
+
+
 class TestCharResidual:
+    @pytest.mark.parametrize("params", PARAMS, ids=str)
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
+    def test_float_bit_identical_to_per_vertex_recursion(self, params, pattern):
+        got = float_on_grid(lambda E: char_residual(E, pattern, params))
+        want = float_on_grid(lambda E: per_vertex_residual(E, pattern, params))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
+    def test_xi_once_per_distinct_coupling(self, params07, pattern, monkeypatch):
+        calls = []
+
+        def counting_xi(*args, **kwargs):
+            calls.append(args[1])
+            return xi(*args, **kwargs)
+
+        monkeypatch.setattr(impurity, "xi", counting_xi)
+        want = len(set(pattern.gammas)) + 1   # the background alpha too
+        for E in (-3.0, np.linspace(-3.0, 30.0, 7)):
+            calls.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                char_residual(E, pattern, params07)
+            assert len(calls) == want
+            assert sorted(calls) == sorted([params07.alpha] + [params07.alpha + g for g in set(pattern.gammas)])
+
     def test_single_vertex_is_scaled_f_defect(self, params06, layout06):
         # m = 1: residual = (gamma - f(E)) * s_kernel/(2 cos A pi) identically
         gamma = -1.3

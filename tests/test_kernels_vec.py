@@ -41,7 +41,13 @@ PARAMS = [
     ChainParams.from_cos_flux(1.0, 0.0),
     ChainParams.from_cos_flux(-1.0, 1.7),
 ]
-PATTERNS = [PerturbationPattern(tuple(np.random.default_rng(m).uniform(-2.5, 2.5, m))) for m in (1, 3, 8, 50)]
+# random patterns, then two that repeat couplings: an identical array and
+# a distant pair (two vertices at alpha - 1.5, twelve unperturbed between)
+PATTERNS = [PerturbationPattern(tuple(np.random.default_rng(m).uniform(-2.5, 2.5, m))) for m in (1, 3, 8, 50)] + [
+    PerturbationPattern.identical(-1.0, 50),
+    PerturbationPattern((-1.5,) + (0.0,) * 12 + (-1.5,)),
+]
+PATTERN_IDS = ["m1", "m3", "m8", "m50", "identical-m50", "pair-m14"]
 
 
 def float_on_grid(fn):
@@ -94,7 +100,7 @@ def test_composed_kernels_bit_identical_on_the_same_c_and_s(params, math_kernels
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=str)
-@pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: f"m{p.m}")
+@pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
 def test_char_residual_bit_identical_on_the_same_c_and_s(params, pattern, math_kernels):
     # long patterns overflow to inf far below the first band, silently on floats
     with np.errstate(over="ignore", invalid="ignore"):

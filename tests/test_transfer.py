@@ -9,8 +9,7 @@ from ringchain import (
     ChainParams,
     FlatBandPole,
     InsideBand,
-    PQState,
-    Transfer2,
+    PQ_SEED,
     bound_state_lattice,
     eigenvectors,
     identical_closed_form,
@@ -37,16 +36,23 @@ def naive_product(E, gammas, params):
     return acc
 
 
-def entries(t: Transfer2):
-    return np.array([t.a11, t.a12, t.a21, t.a22])
+def entries(t: np.ndarray):
+    """(a11, a12, a21, a22) of a 2x2 matrix."""
+    return t.ravel()
+
+
+def det(t: np.ndarray) -> float:
+    """a11*a22 - a12*a21, in this order."""
+    return t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
 
 
 class TestLocalMatrix:
     def test_structure_and_det(self, params07):
         N = local_matrix(-0.5, 0.7, params07)
         x = xi(-0.5, params07.alpha + 0.7, params07)
-        assert N.a11 == pytest.approx(2 * x) and N.a12 == -1.0 and N.a21 == 1.0 and N.a22 == 0.0
-        assert N.det == pytest.approx(1.0, abs=1e-12)
+        assert N.shape == (2, 2)
+        assert N[0, 0] == pytest.approx(2 * x) and N[0, 1] == -1.0 and N[1, 0] == 1.0 and N[1, 1] == 0.0
+        assert det(N) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_xi_rotation(self):
         p = ChainParams.from_cos_flux(0.8, 0.0)
@@ -57,28 +63,35 @@ class TestLocalMatrix:
 
     def test_zero_gamma_is_background(self, params07):
         N = local_matrix(2.2, 0.0, params07)
-        assert N.a11 == pytest.approx(2 * xi_background(2.2, params07))
+        assert N[0, 0] == pytest.approx(2 * xi_background(2.2, params07))
 
 
 class TestPQRecursion:
     def test_seeds_advance(self, params07):
         x1 = 0.37
-        st1 = pq_advance(PQState.seed(), x1)
-        assert (st1.P, st1.Q, st1.P_prev, st1.Q_prev, st1.m) == (2 * x1, 1.0, 1.0, 0.0, 1)
+        assert pq_advance(PQ_SEED, [x1]) == (2 * x1, 1.0, 1.0, 0.0)
 
     def test_constant_xi_second_step(self):
         x = 0.81
-        st2 = pq_advance(pq_advance(PQState.seed(), x), x)
-        assert st2.P == pytest.approx(4 * x * x - 1.0)
-        assert st2.Q == pytest.approx(2 * x)
+        P, Q, _, _ = pq_advance(PQ_SEED, [x, x])
+        assert P == pytest.approx(4 * x * x - 1.0)
+        assert Q == pytest.approx(2 * x)
+
+    @given(st.lists(st.floats(-3, 3), min_size=1, max_size=24))
+    def test_one_pass_equals_step_by_step(self, xis):
+        state = PQ_SEED
+        for x in xis:
+            state = pq_advance(state, [x])
+        assert pq_advance(PQ_SEED, xis) == state
 
     @given(st.lists(st.floats(-3, 3), min_size=1, max_size=24))
     def test_unimodularity_identity(self, xis):
-        state = PQState.seed()
+        state = PQ_SEED
         for x in xis:
-            state = pq_advance(state, x)
-            scale = max(1.0, abs(state.P * state.Q_prev), abs(state.Q * state.P_prev))
-            assert abs(state.det_defect()) <= 1e-10 * scale
+            state = pq_advance(state, [x])
+            P, Q, P_prev, Q_prev = state
+            scale = max(1.0, abs(P * Q_prev), abs(Q * P_prev))
+            assert abs(Q * P_prev - P * Q_prev - 1.0) <= 1e-10 * scale
 
 
 class TestProducts:
@@ -102,8 +115,8 @@ class TestProducts:
             t = product_matrix(0.05, gammas, params07)
             # det is a difference of two huge products deep in a gap; the
             # meaningful scale is the product magnitude
-            scale = max(1.0, abs(t.a11 * t.a22), abs(t.a12 * t.a21))
-            assert abs(t.det - 1.0) <= 1e-10 * scale
+            scale = max(1.0, abs(t[0, 0] * t[1, 1]), abs(t[0, 1] * t[1, 0]))
+            assert abs(det(t) - 1.0) <= 1e-10 * scale
 
     def test_empty_pattern_rejected(self, params07):
         with pytest.raises(ValueError):
@@ -173,8 +186,8 @@ class TestEigenvectors:
             from ringchain import lambda_pair
 
             l1, l2 = lambda_pair(E, params07.alpha, params07)
-            assert np.abs(N.apply(u1) - l1 * u1).max() <= 1e-10 * max(1, abs(l1))
-            assert np.abs(N.apply(u2) - l2 * u2).max() <= 1e-10 * max(1, abs(l2))
+            assert np.abs(N @ u1 - l1 * u1).max() <= 1e-10 * max(1, abs(l1))
+            assert np.abs(N @ u2 - l2 * u2).max() <= 1e-10 * max(1, abs(l2))
             assert not np.allclose(u1, u2)
 
     def test_inside_band_raises(self, params07):
@@ -309,7 +322,7 @@ class TestPrintedVertexMatrices:
         p = ChainParams(0.0, 1.3)
         for E in (-0.9, 0.07, 2.45):
             S, T = self.S_T(E, p.alpha, p)
-            N = local_matrix(E, 0.0, p).as_array()
+            N = local_matrix(E, 0.0, p)
             lhs = T @ S @ np.linalg.inv(T)
             assert np.abs(lhs - N).max() <= 1e-10 * max(1, np.abs(N).max())
 
