@@ -94,9 +94,10 @@ def negative_scan_floor(params: ChainParams) -> float:
 
 def _scan_grid(params: ChainParams, cutoff: float, kappa_floor: float) -> np.ndarray:
     """Energy grid, uniform in kappa below zero and in k above, refined
-    near integer k where band edges cluster."""
+    near integer k where band edges cluster, and ending at the cutoff, so
+    that an edge between the last grid step and the cutoff is bracketed."""
     kappas = np.arange(K_STEP, kappa_floor + K_STEP, K_STEP)
-    energies = [-(kappas[::-1] ** 2), np.array([0.0])]
+    energies = [-(kappas[::-1] ** 2), np.array([0.0, cutoff])]
     if cutoff > 0:
         kmax = math.sqrt(cutoff)
         ks = [np.arange(K_STEP, kmax + K_STEP, K_STEP)]

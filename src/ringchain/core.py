@@ -18,11 +18,13 @@ Useful identities, valid on both branches:
     k*sin(k*pi)    = E*s_kernel(E)
     k*cot(k*pi)    = c_kernel(E)/s_kernel(E)
 
-Each spectral formula (xi, lambda_small, f_single, and the residuals of
-the impurity and asymptotics modules) is written once and takes E as a
-float or as an ndarray.  Two helpers here tell the two apart: kernels(E)
-evaluates c and s with math's functions for a float and numpy's for an
-array, and gap_surd raises FlatBandPole and then InsideBand for a float
+kernels(E, x) evaluates the pair (cos kx, sin(kx)/k) and is the only code
+that splits on the sign of E; c_kernel, s_kernel, cos_k and sin_k_over_k
+are views of it.  Each spectral formula (xi, lambda_small, f_single, and
+the residuals of the impurity and asymptotics modules) is written once and
+takes E as a float or as an ndarray: kernels uses math's functions for a
+float and numpy's for an array, on_flat_band applies the rule E = n^2 to
+either, and gap_surd raises FlatBandPole and then InsideBand for a float
 where a gap-only quantity is undefined, and gives NaN there for an array.
 A float in gives a Python float out, with no numpy call on the way.
 numpy's transcendentals may differ from math's in the last bit, so
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -82,8 +85,10 @@ class ChainParams:
         object.__setattr__(p, "cos_flux", float(cos_flux))
         return p
 
-    @property
+    @cached_property
     def is_half_integer_flux(self) -> bool:
+        # computed on first read, after from_cos_flux/with_alpha have set
+        # cos_flux; xi reads it on every call
         return abs(self.cos_flux) < TOL_HALF
 
     @property
@@ -102,69 +107,67 @@ class ChainParams:
         return complex(math.cos(self.A * math.pi), math.sin(self.A * math.pi))
 
 
-def on_flat_band(E: float) -> bool:
-    """True iff E is (numerically) a squared positive integer; the rule of
-    flat_band_mask."""
-    if not E > 0.0:  # NaN included
+def on_flat_band(E):
+    """True where E is (numerically) a squared positive integer: E > 0 and
+    |sqrt(E) - n| < TOL_FLAT for n = round(sqrt(E)) >= 1.  E is a float
+    or an ndarray (then elementwise); NaN and +-inf give False."""
+    if isinstance(E, np.ndarray):
+        k = np.sqrt(np.abs(E))
+        n = np.round(k)
+        with np.errstate(invalid="ignore"):  # inf - inf at E = +-inf
+            return (E > 0.0) & (np.abs(k - n) < TOL_FLAT) & (n >= 1)
+    if not 0.0 < E < math.inf:  # NaN included
         return False
     k = math.sqrt(E)
     n = round(k)
     return n >= 1 and abs(k - n) < TOL_FLAT
 
 
-def cos_k(E: float, x: float) -> float:
-    """cos(k*x) continued across both branches: cosh(kappa*x) for E < 0."""
-    if E > 0.0:
-        return math.cos(math.sqrt(E) * x)
-    if E < 0.0:
-        return math.cosh(math.sqrt(-E) * x)
-    return 1.0
+def kernels(E, x=math.pi):
+    """(cos(k*x), sin(k*x)/k) for E = k^2, continued across E < 0 as
+    (cosh(kappa*x), sinh(kappa*x)/kappa), kappa = sqrt(-E), and (1, x)
+    at E = 0.
 
-
-def sin_k_over_k(E: float, x: float) -> float:
-    """sin(k*x)/k continued across both branches; equals x at E = 0."""
-    if E > 0.0:
-        k = math.sqrt(E)
-        return math.sin(k * x) / k
-    if E < 0.0:
-        kap = math.sqrt(-E)
-        return math.sinh(kap * x) / kap
-    return x
-
-
-def s_kernel(E: float) -> float:
-    """sin(k*pi)/k over both branches; pi at E = 0, sinh(kappa*pi)/kappa for E < 0."""
-    return sin_k_over_k(E, math.pi)
-
-
-def c_kernel(E: float) -> float:
-    """cos(k*pi) over both branches; cosh(kappa*pi) for E < 0."""
-    return cos_k(E, math.pi)
-
-
-def kernels(E):
-    """(c_kernel(E), s_kernel(E)) for a float or an ndarray of energies."""
+    E is a float or an ndarray; for a float E, x may be an ndarray of
+    positions.  A float E with a float x uses math's functions and gives
+    Python floats; otherwise numpy's give arrays.
+    """
     if not isinstance(E, np.ndarray):
+        f = math if isinstance(x, float) else np
         if E > 0.0:
             k = math.sqrt(E)
-            return math.cos(k * math.pi), math.sin(k * math.pi) / k
+            return f.cos(k * x), f.sin(k * x) / k
         if E < 0.0:
             k = math.sqrt(-E)
-            return math.cosh(k * math.pi), math.sinh(k * math.pi) / k
-        return 1.0, math.pi
+            return f.cosh(k * x), f.sinh(k * x) / k
+        return f.cos(0.0 * x), 1.0 * x   # the k -> 0 limits, shaped like x
     k = np.sqrt(np.abs(E))
+    kx = k * x
     pos, neg = E > 0.0, E < 0.0
-    c, s = np.ones(E.shape), np.full(E.shape, math.pi)
-    c[pos], s[pos] = np.cos(k[pos] * math.pi), np.sin(k[pos] * math.pi) / k[pos]
-    c[neg], s[neg] = np.cosh(k[neg] * math.pi), np.sinh(k[neg] * math.pi) / k[neg]
+    c, s = np.ones(E.shape), np.full(E.shape, x)
+    c[pos], s[pos] = np.cos(kx[pos]), np.sin(kx[pos]) / k[pos]
+    c[neg], s[neg] = np.cosh(kx[neg]), np.sinh(kx[neg]) / k[neg]
     return c, s
 
 
-def flat_band_mask(E: np.ndarray) -> np.ndarray:
-    """on_flat_band over an array of energies."""
-    mag = np.sqrt(np.abs(E))
-    n = np.round(mag)
-    return (E > 0.0) & (np.abs(mag - n) < TOL_FLAT) & (n >= 1)
+def cos_k(E, x):
+    """cos(k*x) over both branches: cosh(kappa*x) for E < 0."""
+    return kernels(E, x)[0]
+
+
+def sin_k_over_k(E, x):
+    """sin(k*x)/k over both branches; x at E = 0."""
+    return kernels(E, x)[1]
+
+
+def c_kernel(E):
+    """cos(k*pi) over both branches; cosh(kappa*pi) for E < 0."""
+    return kernels(E)[0]
+
+
+def s_kernel(E):
+    """sin(k*pi)/k over both branches; pi at E = 0, sinh(kappa*pi)/kappa for E < 0."""
+    return kernels(E)[1]
 
 
 def gap_surd(E, x, flat: bool = True):
@@ -178,7 +181,7 @@ def gap_surd(E, x, flat: bool = True):
     if isinstance(E, np.ndarray):
         undefined = np.abs(x) <= 1.0
         if flat:
-            undefined |= flat_band_mask(E)
+            undefined |= on_flat_band(E)
         return np.sign(x), np.sqrt(np.where(undefined, np.nan, x * x - 1.0))
     if flat and on_flat_band(E):
         raise FlatBandPole(f"s_kernel vanishes at E = {E}")

@@ -21,17 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    ChainParams,
-    c_kernel,
-    cos_k,
-    lambda_pair,
-    lambda_small,
-    on_flat_band,
-    s_kernel,
-    sin_k_over_k,
-    xi,
-)
+from .core import ChainParams, kernels, lambda_pair, lambda_small, on_flat_band, xi
 from .errors import FlatBandPole
 
 
@@ -136,8 +126,7 @@ class EdgeSamples:
 
 def _edge_coefficients(E, psi_j, psi_j1, params):
     """Slope coefficients of the reconstruction on edge I_j."""
-    s = s_kernel(E)
-    c = c_kernel(E)
+    c, s = kernels(E)
     ph = params.flux_phase
     coef_psi = (psi_j1 * ph - psi_j * c) / s
     coef_phi = (psi_j1 * np.conj(ph) - psi_j * c) / s
@@ -159,8 +148,7 @@ def reconstruct_edge(
         raise FlatBandPole(f"reconstruction undefined at E = {E}")
     coef_psi, coef_phi, _, _ = _edge_coefficients(E, psi_j, psi_j1, params)
     u = np.linspace(0.0, math.pi, samples)
-    cosk = np.array([cos_k(E, float(t)) for t in u])
-    sink = np.array([sin_k_over_k(E, float(t)) for t in u])
+    cosk, sink = kernels(E, u)
     gauge = np.exp(-1j * params.A * u)
     psi = gauge * (psi_j * cosk + coef_psi * sink)
     phi = np.conj(gauge) * (psi_j * cosk + coef_phi * sink)

@@ -144,6 +144,28 @@ class TestBandEdges:
             assert len(bands_in) == 1
             assert len(gaps_in) == 2
 
+    def test_band_sliver_below_a_non_square_cutoff(self):
+        # the band's lower edge lies between the last scan step and the cutoff
+        p = ChainParams.from_cos_flux(-0.15478, 1.28491)
+        layout = band_edges(p, 30.0)
+        assert abs(xi_background(30.0, p)) <= 1.0
+        lo, hi = layout.bands[-1]
+        assert lo == pytest.approx(29.9132, abs=1e-4) and hi == 30.0
+        assert layout.gaps[-1] == (25.0, lo)
+
+    def test_every_piece_classified_by_xi_below_non_square_cutoffs(self, rng):
+        # magnetic chains, so every gap is wide; the piece ending at the
+        # cutoff is also classified at the cutoff itself
+        for _ in range(200):
+            cos_flux = rng.uniform(0.05, 0.95) * rng.choice([-1.0, 1.0])
+            p = ChainParams.from_cos_flux(cos_flux, rng.uniform(-3.0, 3.0))
+            cutoff = rng.uniform(5.0, 400.0)
+            layout = band_edges(p, cutoff)
+            pieces = [(b, True) for b in layout.bands] + [(g, False) for g in layout.gaps if math.isfinite(g[0])]
+            for (lo, hi), is_band in pieces:
+                for E in [0.5 * (lo + hi)] + ([hi] if hi == cutoff else []):
+                    assert (abs(xi_background(E, p)) <= 1.0) == is_band, (cos_flux, p.alpha, cutoff, lo, hi)
+
     def test_cutoff_too_small(self):
         with pytest.raises(CutoffTooSmall):
             band_edges(ChainParams(0.0, 50.0), 0.05)

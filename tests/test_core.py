@@ -76,6 +76,15 @@ class TestChainParams:
         assert not ChainParams(0.3, 1.0).is_non_magnetic
         assert ChainParams.from_cos_flux(0.0, 1.0).is_half_integer_flux
 
+    def test_half_integer_predicate_reads_the_stored_cosine(self):
+        # cos(acos(1e-12)) rounds to 9.9993e-13, below TOL_HALF; the
+        # predicate is cached, so it must be computed from the cosine that
+        # from_cos_flux and with_alpha store after construction
+        p = ChainParams.from_cos_flux(1e-12, 1.0)
+        assert ChainParams(p.A, 1.0).is_half_integer_flux
+        assert not p.is_half_integer_flux
+        assert not p.with_alpha(2.0).is_half_integer_flux
+
     def test_from_cos_flux_exact(self):
         p = ChainParams.from_cos_flux(0.7, 2.0)
         assert p.cos_flux == 0.7

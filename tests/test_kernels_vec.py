@@ -11,18 +11,20 @@ from ringchain import ChainParams, DistantPair, PerturbationPattern, core, impur
 from ringchain.asymptotics import distant_residual
 from ringchain.core import (
     c_kernel,
+    cos_k,
     f_single,
     find_roots,
-    flat_band_mask,
     kernels,
     lambda_small,
     on_flat_band,
     s_kernel,
+    sin_k_over_k,
     xi,
     xi_background,
 )
 from ringchain.errors import FlatBandPole, HalfIntegerFlux, InsideBand
 from ringchain.impurity import char_residual
+from ringchain.transfer import reconstruct_edge
 
 # E < 0, E = 0, E > 0, every flat band n^2 <= 36 and points just off them
 GRID = np.unique(
@@ -123,9 +125,97 @@ def test_nan_mask_is_where_the_scalar_kernel_raises(params):
         assert np.isnan(want).any() and not np.isnan(want).all()
 
 
-def test_flat_band_mask_matches_scalar_test():
-    assert flat_band_mask(GRID).tolist() == [on_flat_band(float(E)) for E in GRID]
-    assert flat_band_mask(np.array([1.0, 4.0, 0.0, -1.0])).tolist() == [True, True, False, False]
+def test_array_flat_band_rule_matches_scalar_test():
+    assert on_flat_band(GRID).tolist() == [on_flat_band(float(E)) for E in GRID]
+    assert on_flat_band(np.array([1.0, 4.0, 0.0, -1.0])).tolist() == [True, True, False, False]
+
+
+# reference kernels: each splits on the sign of E itself, with math's
+# functions only
+def separate_cos_k(E, x):
+    if E > 0.0:
+        return math.cos(math.sqrt(E) * x)
+    if E < 0.0:
+        return math.cosh(math.sqrt(-E) * x)
+    return 1.0
+
+
+def separate_sin_k_over_k(E, x):
+    if E > 0.0:
+        k = math.sqrt(E)
+        return math.sin(k * x) / k
+    if E < 0.0:
+        kap = math.sqrt(-E)
+        return math.sinh(kap * x) / kap
+    return x
+
+
+def separate_on_flat_band(E):
+    if not E > 0.0:
+        return False
+    k = math.sqrt(E)
+    n = round(k)
+    return n >= 1 and abs(k - n) < 1e-12
+
+
+def bits(values):
+    """Each float as its hex string, recursing into tuples; the type too."""
+    return [bits(v) if isinstance(v, tuple) else (type(v), v.hex()) for v in values]
+
+
+@pytest.mark.parametrize("x", [math.pi, 0.3, 2.9])
+def test_kernel_views_bit_identical_to_the_separate_kernels(x):
+    energies = [float(E) for E in GRID]
+    want_c = [separate_cos_k(E, x) for E in energies]
+    want_s = [separate_sin_k_over_k(E, x) for E in energies]
+    assert bits(cos_k(E, x) for E in energies) == bits(want_c)
+    assert bits(sin_k_over_k(E, x) for E in energies) == bits(want_s)
+    assert bits(kernels(E, x) for E in energies) == bits(list(zip(want_c, want_s)))
+    if x == math.pi:
+        assert bits(c_kernel(E) for E in energies) == bits(want_c)
+        assert bits(s_kernel(E) for E in energies) == bits(want_s)
+        assert bits(kernels(E) for E in energies) == bits(list(zip(want_c, want_s)))
+    assert [on_flat_band(E) for E in energies] == [separate_on_flat_band(E) for E in energies]
+
+
+def test_flat_band_rule_elementwise_at_the_edge_cases():
+    near = [n * n + d for n in range(1, 5) for d in (-1e-13, 1e-13)]
+    E = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -4.0, 1e-300, 0.25, *near, 1.0, 9.0, 8.99])
+    got = on_flat_band(E)
+    assert got.dtype == bool
+    assert got.tolist() == [on_flat_band(float(e)) for e in E]
+    assert got.tolist() == [False] * 9 + [True] * (len(near) + 2) + [False]
+
+
+@pytest.mark.parametrize("E", [-2.7, -0.3, 0.0, 0.6, 5.3, 20.1])
+def test_kernels_over_positions_within_two_ulp(E):
+    x = np.linspace(0.0, math.pi, 257)
+    c, s = kernels(E, x)
+    assert c.shape == s.shape == x.shape
+    assert np.all(ulps(c, np.array([separate_cos_k(E, t) for t in x])) <= 2.0)
+    want_s = np.array([separate_sin_k_over_k(E, t) for t in x])
+    assert s[0] == want_s[0] == 0.0 and np.all(ulps(s[1:], want_s[1:]) <= 2.0)
+
+
+@pytest.mark.parametrize("E", [-2.7, -0.3, 0.0, 0.6, 5.3])
+@pytest.mark.parametrize("samples", [2, 257])
+def test_reconstruct_edge_matches_the_per_sample_reconstruction(E, samples):
+    params = ChainParams.from_cos_flux(0.7, 1.0)
+    psi_j, psi_j1 = 0.8, -0.35
+    edge = reconstruct_edge(E, psi_j, psi_j1, j=3, params=params, samples=samples)
+    # the reconstruction with one scalar kernel call per sample point
+    c, s = separate_cos_k(E, math.pi), separate_sin_k_over_k(E, math.pi)
+    u = np.linspace(0.0, math.pi, samples)
+    cosk = np.array([separate_cos_k(E, float(t)) for t in u])
+    sink = np.array([separate_sin_k_over_k(E, float(t)) for t in u])
+    gauge, phase = np.exp(-1j * params.A * u), params.flux_phase
+    for got, g, ph in ((edge.psi, gauge, phase), (edge.phi, np.conj(gauge), np.conj(phase))):
+        coef = (psi_j1 * ph - psi_j * c) / s
+        want = g * (psi_j * cosk + coef * sink)
+        # a few ulp of the sum of the two terms' sizes
+        scale = np.abs(psi_j * cosk) + np.abs(coef * sink)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(scale))
+    assert np.array_equal(edge.x, u + 3 * math.pi)
 
 
 def test_half_integer_flux_raises():
