@@ -65,12 +65,18 @@ from .transfer import (
     reconstruct_edge,
     vertex_condition_residual,
 )
-from .oracle import (
-    DiscreteOperator,
-    TruncatedChain,
-    assemble,
-    convergence_study,
-    spectrum_window,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the discretization oracle needs scipy.sparse, so it and its names are
+# imported on first use, and the analytic modules load with numpy alone
+_ORACLE_NAMES = ("DiscreteOperator", "TruncatedChain", "assemble", "convergence_study", "spectrum_window")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["oracle", *_ORACLE_NAMES])
+
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        import importlib
+
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainParams, f_single, find_roots, lambda_small
+from .core import RTOL_MIN, ChainParams, f_single, find_roots, lambda_small
 from .errors import FitFailed, InvalidParameter
 from .impurity import (
     EDGE_DISCARD, ImpurityState, PerturbationPattern, gap_scan_grid, interior_states, solve_gap,
@@ -230,10 +230,10 @@ def splitting_rate(
         raise FitFailed("need at least 4 separations")
     gamma = pair_template.gamma1
 
-    # brentq's default rtol, which the polish of E* has always used
+    # the polish of E* has always run at rtol 4 eps, RTOL_MIN
     roots = find_roots(lambda E: f_single(E, params) - gamma,
                        gap_scan_grid(gap, pair_template.pattern(), params, SCAN_POINTS), 1e-14,
-                       rtol=4 * np.finfo(float).eps)
+                       rtol=RTOL_MIN)
     if not roots:
         raise FitFailed("no limiting root f(E) = gamma in this gap")
     E_star = roots[0]

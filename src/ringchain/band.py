@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChainParams, find_roots, kernels, on_flat_band, xi_background
-from .errors import CutoffTooSmall, HalfIntegerFlux
+from .errors import CutoffTooSmall, HalfIntegerFlux, InvalidParameter
 
 TOL_ROOT = 1e-10
 
@@ -120,12 +120,19 @@ def _edge_roots(params: ChainParams, grid: np.ndarray) -> list[float]:
     return sorted(roots)
 
 
+def _check_cutoff(cutoff: float) -> None:
+    if not math.isfinite(cutoff):
+        raise InvalidParameter(f"cutoff must be finite, got {cutoff}")
+
+
 def band_edges(params: ChainParams, cutoff: float) -> SpectrumLayout:
     """Locate all band edges below cutoff and assemble the layout.
 
-    Raises HalfIntegerFlux in the pure-point regime and CutoffTooSmall
-    if no band intersects (-inf, cutoff].
+    Raises InvalidParameter for a non-finite cutoff, HalfIntegerFlux in
+    the pure-point regime and CutoffTooSmall if no band intersects
+    (-inf, cutoff].
     """
+    _check_cutoff(cutoff)
     if params.is_half_integer_flux:
         raise HalfIntegerFlux("band structure undefined at half-integer flux")
     if cutoff <= 0:
@@ -189,7 +196,9 @@ def band_edges(params: ChainParams, cutoff: float) -> SpectrumLayout:
 
 def half_integer_layout(params: ChainParams, cutoff: float) -> SpectrumLayout:
     """The pure-point layout at half-integer flux: no bands or gaps, only
-    the flat bands below cutoff."""
+    the flat bands below cutoff.  Raises InvalidParameter for a
+    non-finite cutoff."""
+    _check_cutoff(cutoff)
     return SpectrumLayout(
         regime=REGIME_HALF_INTEGER,
         bands=[],

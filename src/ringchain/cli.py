@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, band, crosscheck, impurity
+from . import asymptotics, band, impurity
 from .core import ChainParams, f_single
 from .errors import InsideBand, InvalidParameter, FlatBandPole, RingChainError
 
@@ -97,6 +97,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         lo, hi, step = (float(t) for t in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad sweep spec (want lo:hi:step): {text!r}") from exc
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ConfigError(f"sweep needs finite lo, hi and step: {text!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("sweep needs step > 0 and hi >= lo")
     n = int(round((hi - lo) / step))
@@ -267,6 +269,8 @@ def cmd_distant(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import crosscheck   # the oracle needs scipy; the other commands do not
+
     results = crosscheck.run_cases(seed=args.seed, n_cases=args.cases)
     rows = [
         (

@@ -30,6 +30,11 @@ A float in gives a Python float out, with no numpy call on the way.
 numpy's transcendentals may differ from math's in the last bit, so
 find_roots scans F on an array grid but polishes F on floats: every root
 is the one the float formula alone gives.
+
+The polish is brentq, Brent's method (R. P. Brent, Algorithms for
+Minimization without Derivatives, Prentice-Hall 1973, ch. 4) as scipy's
+optimize.brentq runs it, ported step for step onto Python floats so that
+the analytic modules need numpy only and keep every bit of scipy's roots.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import FlatBandPole, HalfIntegerFlux, InsideBand, InvalidParameter
 
@@ -47,8 +51,12 @@ from .errors import FlatBandPole, HalfIntegerFlux, InsideBand, InvalidParameter
 TOL_HALF = 1e-12
 # |k - round(k)| below this flags the excluded set E = n^2
 TOL_FLAT = 1e-12
+# 4 eps, the smallest relative tolerance scipy's brentq accepts (its default)
+RTOL_MIN = 4 * 2.0**-52
 # relative brentq tolerance of the root polishes
 RTOL_ROOT = 8.9e-16
+# brentq's iteration limit (scipy's default)
+_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -261,6 +269,78 @@ def find_roots(F, grid: np.ndarray, xtol: float, rtol: float = RTOL_ROOT) -> lis
     with np.errstate(over="ignore", invalid="ignore"):
         vals = F(grid)
         brackets = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-    roots = [float(brentq(F, float(grid[i]), float(grid[i + 1]), xtol=xtol, rtol=rtol)) for i in brackets]
+    roots = [brentq(F, float(grid[i]), float(grid[i + 1]), xtol, rtol) for i in brackets]
     roots.extend(float(E) for E in grid[vals == 0.0])
     return sorted(roots)
+
+
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """A root of f in the sign-changing bracket [xa, xb], by the loop of
+    scipy's optimize.brentq (Zeros/brentq.c) on Python floats: the same
+    iterates, the same root bit for bit, the same exceptions.
+
+    Returns an end where f is exactly 0.  Raises ValueError for ends of
+    one sign and where f is NaN; RuntimeError after _MAXITER iterations.
+    f is called on floats only.  xtol > 0 and rtol >= RTOL_MIN, as scipy
+    requires, are the caller's to keep.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre = float(f(xpre))
+    if fpre != fpre:
+        raise _nan_value(xpre)
+    fcur = float(f(xcur))
+    if fcur != fcur:
+        raise _nan_value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # the loop of brentq.c line for line: xblk is the contrapoint, spre
+    # and scur the previous and current steps, delta half the tolerance
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:   # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:              # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf    # C divides to inf or NaN, and either one bisects
+            a, b = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (a if a < b else b):   # good short step
+                spre, scur = scur, stry
+            else:                                     # bisect
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise _nan_value(xcur)
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
+
+
+def _nan_value(x: float) -> ValueError:
+    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")

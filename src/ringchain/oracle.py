@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+# unused here, but perfbench/tracing.py looks up sys.modules["scipy.optimize"]
+import scipy.optimize  # noqa: F401
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -210,6 +212,37 @@ def eigen_count(K, M, s: float) -> int:
     return int(np.count_nonzero(d < 0.0))
 
 
+def _slices(K, M, v0, lo, n_lo, hi, n_hi):
+    """Eigenpairs of the pencil in (lo, hi), holding n_hi - n_lo of them, as
+    a list of ascending (vals, vecs) slices: the spectrum slicing of
+    spectrum_window."""
+    dim, count, center = K.shape[0], n_hi - n_lo, 0.5 * (lo + hi)
+    if count == 0:
+        return [(np.empty(0), np.empty((dim, 0), dtype=complex))]
+    if count < dim - 1:
+        # scipy's own shift-invert operator, but one whose LU is dropped on
+        # return: eigsh's iteration state is a reference cycle, and would
+        # keep the factor alive until the cyclic collector runs
+        OP = K - center * M
+        lu, dtype = spla.splu(OP), OP.dtype
+        OPinv = spla.LinearOperator(OP.shape, matvec=lambda x: lu.solve(x.astype(dtype)), dtype=dtype)
+        try:
+            vals, vecs = spla.eigsh(K, k=count, M=M, sigma=center, which="LM", tol=ARPACK_TOL, v0=v0,
+                                    ncv=min(2 * count + 1, dim), OPinv=OPinv)
+        except spla.ArpackNoConvergence:
+            pass
+        else:
+            if np.count_nonzero((vals > lo) & (vals < hi)) == count:
+                order = np.argsort(vals)
+                return [(vals[order], vecs[:, order])]
+        finally:
+            del lu
+    if hi - lo < ARPACK_TOL * max(1.0, abs(center)):
+        raise SolverNoConvergence(f"ARPACK cannot resolve the {count} eigenvalues in ({lo}, {hi})")
+    n_mid = eigen_count(K, M, center)
+    return _slices(K, M, v0, lo, n_lo, center, n_mid) + _slices(K, M, v0, center, n_mid, hi, n_hi)
+
+
 def spectrum_window(op: DiscreteOperator, lo: float, hi: float):
     """All pencil eigenvalues in (lo, hi), ascending, with eigenvectors.
 
@@ -234,26 +267,7 @@ def spectrum_window(op: DiscreteOperator, lo: float, hi: float):
     # since a constant one is parity-even and starves the odd states
     v0 = np.random.default_rng(0).standard_normal(op.dim)
 
-    def solve(lo, n_lo, hi, n_hi):
-        count, center = n_hi - n_lo, 0.5 * (lo + hi)
-        if count == 0:
-            return [(np.empty(0), np.empty((op.dim, 0), dtype=complex))]
-        if count < op.dim - 1:
-            try:
-                vals, vecs = spla.eigsh(K, k=count, M=M, sigma=center, which="LM", tol=ARPACK_TOL, v0=v0,
-                                        ncv=min(2 * count + 1, op.dim))
-            except spla.ArpackNoConvergence:
-                pass
-            else:
-                if np.count_nonzero((vals > lo) & (vals < hi)) == count:
-                    order = np.argsort(vals)
-                    return [(vals[order], vecs[:, order])]
-        if hi - lo < ARPACK_TOL * max(1.0, abs(center)):
-            raise SolverNoConvergence(f"ARPACK cannot resolve the {count} eigenvalues in ({lo}, {hi})")
-        n_mid = eigen_count(K, M, center)
-        return solve(lo, n_lo, center, n_mid) + solve(center, n_mid, hi, n_hi)
-
-    vals, vecs = zip(*solve(lo, eigen_count(K, M, lo), hi, eigen_count(K, M, hi)))
+    vals, vecs = zip(*_slices(K, M, v0, lo, eigen_count(K, M, lo), hi, eigen_count(K, M, hi)))
     vals, vecs = np.concatenate(vals), np.hstack(vecs)
     vals.flags.writeable = vecs.flags.writeable = False
     op._windows[lo, hi] = vals, vecs

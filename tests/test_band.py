@@ -19,7 +19,8 @@ from ringchain import (
     quasimomentum,
     xi_background,
 )
-from ringchain.band import REGIME_HALF_INTEGER, REGIME_MAGNETIC, REGIME_NON_MAGNETIC
+from ringchain.band import REGIME_HALF_INTEGER, REGIME_MAGNETIC, REGIME_NON_MAGNETIC, half_integer_layout
+from ringchain.errors import InvalidParameter
 
 
 class TestInSpectrum:
@@ -171,6 +172,13 @@ class TestBandEdges:
             band_edges(ChainParams(0.0, 50.0), 0.05)
         with pytest.raises(CutoffTooSmall):
             band_edges(ChainParams(0.0, 1.0), -1.0)
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cutoff_rejected(self, cutoff):
+        with pytest.raises(InvalidParameter, match="cutoff must be finite"):
+            band_edges(ChainParams.from_cos_flux(0.7, 1.0), cutoff)
+        with pytest.raises(InvalidParameter, match="cutoff must be finite"):
+            half_integer_layout(ChainParams.from_cos_flux(0.0, 1.0), cutoff)
 
     def test_half_integer_rejected(self):
         with pytest.raises(HalfIntegerFlux):

@@ -123,6 +123,26 @@ class TestExitCodes:
     def test_bad_sweep_spec(self):
         assert main(["bands", "--cosA", "0.7", "--alpha-sweep", "nope"]) == 2
 
+    @pytest.mark.parametrize("sweep", ["0:1:nan", "nan:1:0.1", "0:nan:0.1", "0:inf:0.1", "-inf:0:0.1", "0:1:inf"])
+    def test_non_finite_sweep_is_a_configuration_error(self, sweep, capsys):
+        assert main(["bands", "--cosA", "0.7", f"--alpha-sweep={sweep}"]) == 2
+        assert capsys.readouterr().err.startswith("error: sweep needs finite lo, hi and step")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bands", "--cosA", "0.7", "--alpha", "1"],
+            ["bands", "--cosA", "0"],
+            ["impurity", "--cosA", "0.6", "--alpha", "1", "--gamma", "-2"],
+            ["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", "1e-3"],
+        ],
+        ids=["bands", "bands-half-integer", "impurity", "weak"],
+    )
+    @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
+    def test_non_finite_cutoff_is_a_configuration_error(self, argv, cutoff, capsys):
+        assert main(argv + [f"--cutoff={cutoff}"]) == 2
+        assert capsys.readouterr().err.startswith("error: cutoff must be finite")
+
     def test_bad_gap_index(self, capsys):
         argv = ["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", "1e-3", "--gap", "99"]
         assert main(argv) == 2
