@@ -31,6 +31,7 @@ IMPURITY_PRESETS = {
 }
 CURVE_POINTS = 200   # coupling-function samples per gap piece
 CUTOFF = 25.0        # energy cutoff when --cutoff is not given
+MAX_SWEEP_POINTS = 100_001   # one first_band call each; fig3 takes 601
 
 
 class ConfigError(Exception):
@@ -101,7 +102,9 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigError(f"sweep needs finite lo, hi and step: {text!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("sweep needs step > 0 and hi >= lo")
-    n = int(round((hi - lo) / step))
+    n = round(min((hi - lo) / step, MAX_SWEEP_POINTS))   # the quotient may be inf
+    if n >= MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep has more than {MAX_SWEEP_POINTS} points: {text!r}")
     return lo + step * np.arange(n + 1)
 
 

@@ -11,7 +11,10 @@ in a position-interleaved node ordering.
 Each window is counted exactly by the inertia of K - s*M at its ends and
 solved by shift-invert Lanczos for that many pairs, in a Krylov space of
 2k+1 vectors, sliced at inertia-counted midpoints where one call cannot
-resolve it (spectrum slicing).
+resolve it (spectrum slicing).  The pencil is 2R identical edge blocks
+joined at R - 1 vertices, and both factorizations use that: the count
+eliminates the edges (one scalar pivot loop per shift), and the
+shift-invert operator is a LAPACK band LU of K - sigma*M.
 
 Work is done once: `assemble` returns a shared operator from a small LRU
 of recent (chain, pattern) pairs, and each operator keeps its sparse
@@ -34,6 +37,7 @@ import numpy as np
 import scipy.optimize  # noqa: F401
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .core import ChainParams
 from .errors import DimensionOverflow, FitFailed, InvalidParameter, SolverNoConvergence
@@ -124,6 +128,41 @@ class DiscreteOperator:
 
         return build(self.kd, self.k1, self.k2), build(self.md, self.m1, self.m2)
 
+    @functools.cached_property
+    def _edges(self):
+        """What `eigen_count` reads of the pencil, checked once: the edge
+        diagonal (kd, md), the upper-edge link (k, m), the squared real part
+        of the ring phase (the product of the M link phases along an edge)
+        and the vertex diagonals.
+
+        Raises InvalidParameter unless the arrays are the pencil of a chain
+        of `chain`'s size whose interior nodes all carry one diagonal and
+        whose links all carry one link, conjugated on lower edges, to 4 eps
+        (assembly rounds the two edges' links apart by an ulp)."""
+        R, I = self.chain.n_rings, self.chain.points_per_edge - 1
+        n = self.chain.dim
+        if (len(self.kd), len(self.md), len(self.k1), len(self.m1), len(self.k2), len(self.m2)) \
+                != (n, n, n - 1, n - 1, n - 2, n - 2):
+            raise InvalidParameter(f"pencil arrays do not have the dimension {n} of its chain")
+        vertex = np.arange(1, R) * (2 * I + 1) - 1
+        interior = np.ones(n, dtype=bool)
+        interior[vertex] = False
+        kd, md, k, m = float(self.kd[0]), float(self.md[0]), complex(self.k2[0]), complex(self.m2[0])
+        tol = 4 * np.finfo(float).eps
+        uniform = (self.kd[interior] == kd).all() and (self.md[interior] == md).all()
+        uniform &= abs((k * m.conjugate()).imag) <= tol * abs(k * m)   # one phase for K and M
+        links = _link_rows(R, I)
+        for name, link in (("k", k), ("m", m)):
+            for d in (1, 2):
+                band = getattr(self, f"{name}{d}")
+                want = np.zeros(len(band), dtype=complex)
+                for lower, rows in enumerate(links[d]):
+                    want[rows] = link.conjugate() if lower else link
+                uniform &= bool(np.abs(band - want).max(initial=0.0) <= tol * abs(link))
+        if not uniform:
+            raise InvalidParameter("pencil arrays are not a uniform-edge chain's; its inertia cannot be counted")
+        return kd, md, k, m, (((k / abs(k)) ** (I + 1)).real) ** 2, self.kd[vertex].tolist(), self.md[vertex].tolist()
+
 
 def assemble(chain: TruncatedChain, gammas: Sequence[float]) -> DiscreteOperator:
     """The pencil for the chain with a centered perturbation pattern.
@@ -153,31 +192,22 @@ def _assemble(chain: TruncatedChain, gammas: tuple[float, ...]) -> DiscreteOpera
     k1, m1 = np.zeros((2, n - 1), dtype=complex)
     k2, m2 = np.zeros((2, n - 2), dtype=complex)
 
-    # nodes[r, e, j]: point j of edge e (0 upper, 1 lower) of ring r,
-    # vertices at j = 0 and I+1, -1 at the Dirichlet ends
-    base = np.arange(R) * block - 1   # left vertex of ring r
-    nodes = np.empty((R, 2, I + 2), dtype=int)
-    nodes[..., 0], nodes[..., -1] = base[:, None], base[:, None] + block
-    nodes[..., 1:-1] = base[:, None, None] + 1 + np.arange(2)[:, None] + 2 * np.arange(I)
-    nodes[0, :, 0] = nodes[-1, :, -1] = -1
-    a, b = nodes[..., :-1], nodes[..., 1:]
-    off = np.where((a >= 0) & (b >= 0), b - a, 0)
-
     # every grid link contributes 1/h to both endpoint diagonals of K and
     # 5h/12 to both of M (interior nodes then carry 2/h and 10h/12, the
     # Numerov weights); off-diagonal entries take the link phase
     A = chain.params.A
     phase_up = complex(math.cos(A * h), math.sin(A * h))     # multiplies u_{i+1} on upper edges
+    links = _link_rows(R, I)
     for lower, omega in enumerate((phase_up, np.conj(phase_up))):
         k_link, m_link = -omega / h, omega * h / 12.0
         for d, kb, mb in ((1, k1, m1), (2, k2, m2)):
-            rows = a[:, lower][off[:, lower] == d]
+            rows = links[d][lower]
             kb[rows] += k_link
             mb[rows] += m_link
 
     # the diagonals sum those link terms one at a time, as a per-link
     # loop would: two per interior node, four per vertex
-    vertex_nodes = base[1:]
+    vertex_nodes = np.arange(1, R) * block - 1
     x, w = 1.0 / h, 5.0 * h / 12.0
     kd, md = np.full(n, x + x), np.full(n, w + w)
     kd[vertex_nodes], md[vertex_nodes] = x + x + x + x, w + w + w + w
@@ -192,40 +222,93 @@ def _assemble(chain: TruncatedChain, gammas: tuple[float, ...]) -> DiscreteOpera
     return DiscreteOperator(chain, gammas, kd, k1, k2, md, m1, m2, vertex_nodes, ring_of_node)
 
 
-def eigen_count(K, M, s: float) -> int:
-    """Number of pencil eigenvalues below s (Sylvester's law of inertia).
+def _link_rows(R: int, I: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """For each band offset d (1 and 2), the rows of that band that hold a
+    grid link on upper and on lower edges, in `assemble`'s node ordering of
+    a chain of R rings with I interior points per edge."""
+    # nodes[r, e, j]: point j of edge e (0 upper, 1 lower) of ring r,
+    # vertices at j = 0 and I+1, -1 at the Dirichlet ends
+    block = 2 * I + 1
+    base = np.arange(R) * block - 1   # left vertex of ring r
+    nodes = np.empty((R, 2, I + 2), dtype=int)
+    nodes[..., 0], nodes[..., -1] = base[:, None], base[:, None] + block
+    nodes[..., 1:-1] = base[:, None, None] + 1 + np.arange(2)[:, None] + 2 * np.arange(I)
+    nodes[0, :, 0] = nodes[-1, :, -1] = -1
+    a, b = nodes[..., :-1], nodes[..., 1:]
+    off = np.where((a >= 0) & (b >= 0), b - a, 0)
+    return {d: (a[:, 0][off[:, 0] == d], a[:, 1][off[:, 1] == d]) for d in (1, 2)}
 
-    K - s*M is Hermitian and banded: its natural-order LU without pivoting
-    is an LDL^H factorization, so U's negative diagonal entries count the
-    eigenvalues below s.  relax=1, panel_size=1: a band this narrow has no
-    supernodes to exploit (about 40% faster at dim 12,774)."""
+
+def eigen_count(op: DiscreteOperator, s: float) -> int:
+    """Number of pencil eigenvalues below s: the inertia nu of K - s*M, by
+    eliminating the edges (E. V. Haynsworth, Linear Algebra Appl. 1 (1968)
+    73).
+
+    Every edge's interior block of K - s*M is, up to a diagonal unitary
+    gauge, one real tridiagonal Toeplitz matrix T with diagonal d and
+    off-diagonal b = |link|.  Eliminating the 2R edges leaves a tridiagonal
+    Schur complement S on the R - 1 vertices, and nu(K - s*M) = 2R nu(T)
+    + nu(S).  One LDL^T pivot loop over T gives nu(T), (T^-1)_11 (the
+    inverse of its last pivot, T being persymmetric) and (T^-1)_1I, which
+    couples the two ends of an edge.  S_jj is the vertex diagonal less
+    b^2 (T^-1)_11 for each of the four edge ends there, and
+    |S_j,j+1|^2 = (2 Re(omega^M) b^2 (T^-1)_1I)^2, omega^M being the ring
+    phase; the vertex pivots q_j = S_jj - |S_j-1,j|^2 / q_j-1 give nu(S).
+
+    Raises InvalidParameter for a pencil that is not a uniform-edge
+    chain's, and SolverNoConvergence where a zero pivot, an overflow or a
+    NaN (a non-finite s) voids the count."""
+    kd, md, k, m, ring2, vk, vm = op._edges
+    s = float(s)    # a numpy float would make every pivot a numpy scalar, at half the speed
+    d, b2 = kd - s * md, abs(k - s * m) ** 2
     try:
-        lu = spla.splu(
-            K - s * M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-            relax=1, panel_size=1, options=dict(SymmetricMode=True),
-        )
-    except RuntimeError as exc:   # SuperLU: factor is exactly singular
-        raise SolverNoConvergence(f"K - {s}*M is singular") from exc
-    d = lu.U.diagonal().real
-    if not (np.isfinite(d).all() and np.array_equal(lu.perm_r, np.arange(len(d)))):
-        raise SolverNoConvergence(f"K - {s}*M: a non-finite or off-diagonal pivot voids the count")
-    return int(np.count_nonzero(d < 0.0))
+        t, ends = d, 1.0      # ends: ((T^-1)_1I t_I)^2, a product of (b/t_i)^2
+        edge = 0
+        for _ in range(op.chain.points_per_edge - 2):
+            edge += t < 0.0
+            ends *= b2 / (t * t)
+            t = d - b2 / t
+        edge += t < 0.0
+        end = 4.0 * b2 / t                                   # four edge ends at each vertex
+        couple = 4.0 * ring2 * b2 * b2 * ends / (t * t)       # |S_j,j+1|^2
+        vertex, q = 0, math.inf     # the first vertex has no coupling above it
+        for kv, mv in zip(vk, vm):
+            q = kv - s * mv - end - couple / q
+            vertex += q < 0.0
+    except ZeroDivisionError:
+        raise SolverNoConvergence(f"K - {s}*M: a zero pivot voids the count") from None
+    if not math.isfinite(couple) or math.isnan(q):
+        raise SolverNoConvergence(f"K - {s}*M: an overflow or a NaN voids the count")
+    return 2 * op.chain.n_rings * edge + vertex
 
 
-def _slices(K, M, v0, lo, n_lo, hi, n_hi):
+def _band_lu(op: DiscreteOperator, sigma: float):
+    """LAPACK's band LU of K - sigma*M (zgbtrf, kl = ku = 2), built straight
+    from the six bands: the factor and its pivots, for zgbtrs."""
+    a1, a2 = op.k1 - sigma * op.m1, op.k2 - sigma * op.m2
+    ab = np.zeros((7, op.dim), dtype=complex)     # rows 0-1: the LU's fill-in
+    ab[2, 2:], ab[3, 1:], ab[4] = a2, a1, op.kd - sigma * op.md
+    ab[5, :-1], ab[6, :-2] = a1.conj(), a2.conj()
+    lu, piv, info = zgbtrf(ab, 2, 2, overwrite_ab=True)
+    if info > 0:
+        raise SolverNoConvergence(f"K - {sigma}*M is singular")
+    return lu, piv
+
+
+def _slices(op, v0, lo, n_lo, hi, n_hi):
     """Eigenpairs of the pencil in (lo, hi), holding n_hi - n_lo of them, as
     a list of ascending (vals, vecs) slices: the spectrum slicing of
     spectrum_window."""
-    dim, count, center = K.shape[0], n_hi - n_lo, 0.5 * (lo + hi)
+    dim, count, center = op.dim, n_hi - n_lo, 0.5 * (lo + hi)
     if count == 0:
         return [(np.empty(0), np.empty((dim, 0), dtype=complex))]
     if count < dim - 1:
-        # scipy's own shift-invert operator, but one whose LU is dropped on
-        # return: eigsh's iteration state is a reference cycle, and would
-        # keep the factor alive until the cyclic collector runs
-        OP = K - center * M
-        lu, dtype = spla.splu(OP), OP.dtype
-        OPinv = spla.LinearOperator(OP.shape, matvec=lambda x: lu.solve(x.astype(dtype)), dtype=dtype)
+        # a shift-invert operator whose factor is dropped on return: eigsh's
+        # iteration state is a reference cycle, and would keep the factor
+        # alive until the cyclic collector runs
+        lu, piv = _band_lu(op, center)
+        OPinv = spla.LinearOperator((dim, dim), matvec=lambda x: zgbtrs(lu, 2, 2, x, piv)[0], dtype=complex)
+        K, M = op.to_sparse()
         try:
             vals, vecs = spla.eigsh(K, k=count, M=M, sigma=center, which="LM", tol=ARPACK_TOL, v0=v0,
                                     ncv=min(2 * count + 1, dim), OPinv=OPinv)
@@ -239,35 +322,38 @@ def _slices(K, M, v0, lo, n_lo, hi, n_hi):
             del lu
     if hi - lo < ARPACK_TOL * max(1.0, abs(center)):
         raise SolverNoConvergence(f"ARPACK cannot resolve the {count} eigenvalues in ({lo}, {hi})")
-    n_mid = eigen_count(K, M, center)
-    return _slices(K, M, v0, lo, n_lo, center, n_mid) + _slices(K, M, v0, center, n_mid, hi, n_hi)
+    n_mid = eigen_count(op, center)
+    return _slices(op, v0, lo, n_lo, center, n_mid) + _slices(op, v0, center, n_mid, hi, n_hi)
 
 
 def spectrum_window(op: DiscreteOperator, lo: float, hi: float):
     """All pencil eigenvalues in (lo, hi), ascending, with eigenvectors.
 
-    The window is counted by inertia and solved by shift-invert Lanczos at
-    its center for exactly that many eigenpairs k, which are the window's
-    since it is symmetric about the shift.  ARPACK gets ncv = 2k+1 Lanczos
-    vectors (its own rule, without scipy's floor of 20): the centered
-    shift makes the k wanted pairs dominant, so few vectors suffice.  When
-    that call fails to converge, finds a different number in the window,
-    or would need dim - 1 or more pairs, the window is cut at its midpoint
-    and each half is counted and solved the same way (spectrum slicing).
-    Only a slice narrower than ARPACK's resolution that still holds
-    eigenvalues raises SolverNoConvergence.
+    The window is counted by inertia (`eigen_count` at both ends) and
+    solved by shift-invert Lanczos at its center, through a band LU of
+    K - center*M, for exactly that many eigenpairs k, which are the
+    window's since it is symmetric about the shift.  ARPACK gets
+    ncv = 2k+1 Lanczos vectors (its own rule, without scipy's floor of
+    20): the centered shift makes the k wanted pairs dominant, so few
+    vectors suffice.  When that call fails to converge, finds a different
+    number in the window, or would need dim - 1 or more pairs, the window
+    is cut at its midpoint and each half is counted and solved the same
+    way (spectrum slicing).  Only a slice narrower than ARPACK's
+    resolution that still holds eigenvalues raises SolverNoConvergence.
+    Ends that are not finite with lo <= hi raise InvalidParameter.
 
     The result is memoised on the operator by (lo, hi) and both arrays
     are read-only, so a repeated window costs nothing.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise InvalidParameter(f"window needs finite ends with lo <= hi, not ({lo}, {hi})")
     if (lo, hi) in op._windows:
         return op._windows[lo, hi]
-    K, M = op.to_sparse()
     # a fixed start vector, so repeated solves agree to the last bit; random,
     # since a constant one is parity-even and starves the odd states
     v0 = np.random.default_rng(0).standard_normal(op.dim)
 
-    vals, vecs = zip(*_slices(K, M, v0, lo, eigen_count(K, M, lo), hi, eigen_count(K, M, hi)))
+    vals, vecs = zip(*_slices(op, v0, lo, eigen_count(op, lo), hi, eigen_count(op, hi)))
     vals, vecs = np.concatenate(vals), np.hstack(vecs)
     vals.flags.writeable = vecs.flags.writeable = False
     op._windows[lo, hi] = vals, vecs

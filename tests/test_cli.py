@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ringchain import ChainParams, PerturbationPattern, band_edges, solve_gap
-from ringchain.cli import _normalize_argv, build_parser, main
+from ringchain.cli import MAX_SWEEP_POINTS, _normalize_argv, _parse_sweep, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parents[1] / "README.md"
@@ -122,6 +122,16 @@ class TestExitCodes:
 
     def test_bad_sweep_spec(self):
         assert main(["bands", "--cosA", "0.7", "--alpha-sweep", "nope"]) == 2
+
+    @pytest.mark.parametrize("sweep", ["0:1:1e-300", "0:1:1e-320", "0:1:1e-7", "-1e308:1e308:1e-5", "0:100001:1"])
+    def test_unbounded_sweep_is_a_configuration_error(self, sweep, capsys):
+        # 1e-300 overflowed np.arange, and 1e-7 started 10^7 first_band calls
+        assert main(["bands", "--cosA", "0.7", f"--alpha-sweep={sweep}"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: sweep has more than {MAX_SWEEP_POINTS} points")
+
+    def test_longest_sweep_is_accepted(self):
+        alphas = _parse_sweep(f"0:{MAX_SWEEP_POINTS - 1}:1")
+        assert len(alphas) == MAX_SWEEP_POINTS and alphas[-1] == MAX_SWEEP_POINTS - 1
 
     @pytest.mark.parametrize("sweep", ["0:1:nan", "nan:1:0.1", "0:nan:0.1", "0:inf:0.1", "-inf:0:0.1", "0:1:inf"])
     def test_non_finite_sweep_is_a_configuration_error(self, sweep, capsys):

@@ -17,7 +17,7 @@ from ringchain import (
     solve_gap,
     spectrum_window,
 )
-from ringchain.errors import SolverNoConvergence
+from ringchain.errors import InvalidParameter, SolverNoConvergence
 from ringchain.oracle import eigen_count, eigenvector_ring_norms, localization_scores, richardson_limit
 
 
@@ -63,7 +63,7 @@ class TestAssembly:
     def test_free_chain_nonnegative(self):
         p = ChainParams(0.0, 0.0)
         op = assemble(TruncatedChain(9, 64, p), [0.0])
-        assert eigen_count(*op.to_sparse(), -1e-10) == 0
+        assert eigen_count(op, -1e-10) == 0
 
     def test_gauge_period_exact(self):
         a = assemble(TruncatedChain(9, 64, ChainParams(0.25, 1.0)), [-1.5])
@@ -175,7 +175,6 @@ class TestInertiaCount:
 
     def test_counts_match_dense_eigh(self, dense_pencil):
         op, vals = dense_pencil
-        K, Mm = op.to_sparse()
         rng = np.random.default_rng(op.dim)
 
         shifts = [float(rng.uniform(-10.0, 40.0)) for _ in range(20)]
@@ -191,13 +190,102 @@ class TestInertiaCount:
         for s in shifts:
             if np.abs(vals - s).min() <= RESOLVED:
                 continue
-            assert eigen_count(K, Mm, s) == np.count_nonzero(vals < s), s
+            assert eigen_count(op, s) == np.count_nonzero(vals < s), s
             checked += 1
         assert checked >= 40
         # a window with both edges beside one cluster holds all of it
         cluster = _cluster(vals, 4.0)
         lo, hi = cluster.min() - 1e-9, cluster.max() + 1e-9
-        assert eigen_count(K, Mm, hi) - eigen_count(K, Mm, lo) == len(cluster)
+        assert eigen_count(op, hi) - eigen_count(op, lo) == len(cluster)
+
+    @pytest.mark.parametrize(
+        "cos_flux, n_rings, m",
+        [(0.7, 9, 3), (-1.0, 7, 1), (1.0, 9, 2)],
+        ids=["magnetic", "cos-1", "cos+1"],
+    )
+    def test_counts_beside_every_eigenvalue(self, cos_flux, n_rings, m):
+        # 1e-9, 1e-7 and 1e-5 relative on each side of every eigenvalue
+        # below 40, flat-band cluster members included; every other shift
+        # is a numpy float, whose comparisons give numpy bools
+        rng = np.random.default_rng([n_rings, m, int(1000 * (cos_flux + 2))])
+        params = ChainParams.from_cos_flux(cos_flux, float(rng.uniform(-3.0, 3.0)))
+        op = assemble(TruncatedChain(n_rings, 64, params), [float(g) for g in rng.uniform(-2.2, 2.2, m)])
+        vals = _dense_spectrum(op)
+        checked = 0
+        for E in vals[vals < 40.0]:
+            for rel in (1e-9, 1e-7, 1e-5):
+                for side in (-1.0, 1.0):
+                    s = E + side * rel * max(1.0, abs(E))
+                    if np.abs(vals - s).min() <= RESOLVED:
+                        continue
+                    shift = np.float64(s) if checked % 2 else s
+                    assert eigen_count(op, shift) == np.count_nonzero(vals < s), (E, rel, side)
+                    checked += 1
+        assert checked >= 500
+
+    def test_counts_match_superlu(self):
+        # the count by SuperLU's LDL^H that eigen_count replaced, on a
+        # 25-ring pencil (dim 6,374) at random shifts
+        import scipy.sparse.linalg as spla
+
+        op = assemble(TruncatedChain(25, 128, ChainParams.from_cos_flux(0.7, 1.0)), [-1.0, 0.5, -2.0])
+        K, M = op.to_sparse()
+        rng = np.random.default_rng(25)
+        for s in rng.uniform(-5.0, 40.0, 40):
+            lu = spla.splu(K - s * M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+            assert np.array_equal(lu.perm_r, np.arange(op.dim))
+            assert eigen_count(op, s) == np.count_nonzero(lu.U.diagonal().real < 0.0), s
+
+    def test_non_finite_shift_raises(self, p06):
+        # a NaN shift compares False with every pivot and would count 0
+        op = assemble(TruncatedChain(9, 64, p06), [0.0])
+        for s in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SolverNoConvergence):
+                eigen_count(op, s)
+
+    def test_pencil_that_is_not_its_chains_raises(self, p06):
+        op = assemble(TruncatedChain(9, 64, p06), [0.0])
+        n, interior, vertex = 240, 5, int(op.vertex_nodes[1])
+        bad_link, bad_diagonal, bad_vertex_link = op.k1.copy(), op.kd.copy(), op.m2.copy()
+        bad_link[interior] += 1e-3      # joins upper_i and lower_i of one ring
+        bad_diagonal[interior] += 1e-9
+        bad_vertex_link[vertex] *= 1j   # vertex to lower_0 of ring 2
+        for kwargs in (
+            dict(kd=op.kd[:n], k1=op.k1[:n - 1], k2=op.k2[:n - 2], md=op.md[:n], m1=op.m1[:n - 1], m2=op.m2[:n - 2]),
+            dict(k1=bad_link),
+            dict(kd=bad_diagonal),
+            dict(m2=bad_vertex_link),
+            dict(m1=op.m1.conj(), m2=op.m2.conj()),   # M's links carry the opposite flux to K's
+        ):
+            bad = dataclasses.replace(op, **kwargs)
+            with pytest.raises(InvalidParameter):
+                eigen_count(bad, 1.0)
+            with pytest.raises(InvalidParameter):
+                spectrum_window(bad, 0.9, 1.1)
+
+    def test_band_lu_solves(self, dense_pencil):
+        # the shift-invert factor solves (K - sigma*M) x = b to 1e-12
+        # relative in the widest gap below 20; beside the flat-band cluster
+        # at E = 4, where K - sigma*M is near singular, its backward error
+        # stays at 1e-12 of |K - sigma*M| |x|
+        import scipy.sparse.linalg as spla
+        from scipy.linalg.lapack import zgbtrs
+
+        from ringchain.oracle import _band_lu
+
+        op, vals = dense_pencil
+        K, M = op.to_sparse()
+        rng = np.random.default_rng(op.dim)
+        b = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        i = int(np.argmax(np.diff(vals[vals < 20.0])))
+        for sigma, near_singular in ((0.5 * (vals[i] + vals[i + 1]), False), (_cluster(vals, 4.0).max() + 1e-6, True)):
+            lu, piv = _band_lu(op, sigma)
+            x, info = zgbtrs(lu, 2, 2, b, piv)
+            A = K - sigma * M
+            scale = spla.norm(A, 1) * np.linalg.norm(x) if near_singular else np.linalg.norm(b)
+            assert info == 0
+            assert np.linalg.norm(A @ x - b) <= 1e-12 * scale, sigma
 
 
 class TestSpectra:
@@ -302,15 +390,17 @@ class TestSpectra:
 
     def test_whole_spectrum_window(self, p06):
         # a window holding every eigenvalue needs k >= dim - 1 pairs, which
-        # ARPACK refuses with a TypeError; slicing enumerates it.  A leading
-        # principal block of a chain pencil is again Hermitian-definite and
-        # keeps this cheap (the whole dim-1396 pencil enumerates too, in
-        # about 80 s)
+        # ARPACK refuses with a TypeError; slicing enumerates it.  The
+        # leading 380 nodes of the 11-ring pencil are a 3-ring chain's
+        # pencil, cut at vertex 3 as at a Dirichlet end, which keeps this
+        # cheap (the whole dim-1396 pencil enumerates too, in about 80 s)
         op = assemble(TruncatedChain(11, 64, p06), [0.0])
-        n = 240
+        chain = TruncatedChain(3, 64, p06)
+        n = chain.dim
         block = dataclasses.replace(
-            op, kd=op.kd[:n], k1=op.k1[:n - 1], k2=op.k2[:n - 2],
+            op, chain=chain, kd=op.kd[:n], k1=op.k1[:n - 1], k2=op.k2[:n - 2],
             md=op.md[:n], m1=op.m1[:n - 1], m2=op.m2[:n - 2],
+            vertex_nodes=op.vertex_nodes[:2], ring_of_node=op.ring_of_node[:n],
         )
         vals, vecs = spectrum_window(block, -10.0, 1e7)
         want = _dense_spectrum(block)
@@ -332,11 +422,18 @@ class TestSpectra:
         with pytest.raises(SolverNoConvergence, match="cannot resolve"):
             spectrum_window(op, 0.9, 1.1)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(1.0, 0.5), (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)],
+    )
+    def test_bad_window_raises(self, p06, lo, hi):
+        op = assemble(TruncatedChain(9, 64, p06), [0.0])
+        with pytest.raises(InvalidParameter, match="finite ends"):
+            spectrum_window(op, lo, hi)
+
     def test_empty_sparse_window(self, p06):
         op = assemble(TruncatedChain(11, 64, p06), [0.0])
-        K, M = op.to_sparse()
         lo, hi = 0.2, 0.21
-        assert eigen_count(K, M, hi) == eigen_count(K, M, lo)
+        assert eigen_count(op, hi) == eigen_count(op, lo)
         vals, vecs = spectrum_window(op, lo, hi)
         assert vals.shape == (0,) and vecs.shape == (op.dim, 0)
 
@@ -401,7 +498,7 @@ class TestReuse:
         v2, _ = spectrum_window(shifted, -3.0, 0.5)
         K, M = shifted.to_sparse()
         assert np.array_equal(K.diagonal(), shifted.kd)
-        assert eigen_count(K, M, 0.5) - eigen_count(K, M, -3.0) == len(v2)
+        assert eigen_count(shifted, 0.5) - eigen_count(shifted, -3.0) == len(v2)
         assert len(v2) != len(v1) or np.abs(v2 - v1).max() > 1e-3
 
 
