@@ -56,6 +56,8 @@ class DistantPair:
     def __post_init__(self):
         if self.n < 0:
             raise InvalidParameter("separation count n must be >= 0")
+        if not (math.isfinite(self.gamma1) and math.isfinite(self.gamma2)):
+            raise InvalidParameter("both strengths must be finite")
         if self.gamma1 == 0.0 or self.gamma2 == 0.0:
             raise InvalidParameter("both strengths must be nonzero")
 
@@ -148,8 +150,8 @@ def weak_gap_distance_scaling(
     Distances are measured in momentum (sqrt E) when the edge is positive,
     else in energy; either choice leaves the exponent unchanged.
     """
-    if len(eps_list) < 4:
-        raise FitFailed("need at least 4 epsilon values")
+    if len(set(eps_list)) < 4:
+        raise FitFailed("need at least 4 distinct epsilon values")
     edge = _approached_edge(gap, params)
     xs, ys = [], []
     for eps in eps_list:
@@ -200,7 +202,9 @@ def distant_solve(
     the two branches are solved separately, which keeps exponentially close
     pairs resolvable.  Unequal strengths use a direct sign scan.
     """
-    grid = gap_scan_grid(gap, pair.pattern(), params, SCAN_POINTS)
+    # the gap-0 scan floor reads only min(0, gammas), the same for the two
+    # strengths as for pair.pattern(), whose n + 2 entries cost memory in n
+    grid = gap_scan_grid(gap, PerturbationPattern((pair.gamma1, pair.gamma2)), params, SCAN_POINTS)
     if pair.gamma1 == pair.gamma2:
         roots = []
         for sign in (1.0, -1.0):
@@ -226,13 +230,14 @@ def splitting_rate(
     """
     if pair_template.gamma1 != pair_template.gamma2:
         raise ValueError("splitting is defined for equal strengths")
-    if len(n_list) < 4:
-        raise FitFailed("need at least 4 separations")
+    if len(set(n_list)) < 4:
+        raise FitFailed("need at least 4 distinct separations")
     gamma = pair_template.gamma1
 
-    # the polish of E* has always run at rtol 4 eps, RTOL_MIN
+    # the polish of E* has always run at rtol 4 eps, RTOL_MIN; the grid is
+    # distant_solve's, scanned from the floor of the two strengths
     roots = find_roots(lambda E: f_single(E, params) - gamma,
-                       gap_scan_grid(gap, pair_template.pattern(), params, SCAN_POINTS), 1e-14,
+                       gap_scan_grid(gap, PerturbationPattern((gamma, gamma)), params, SCAN_POINTS), 1e-14,
                        rtol=RTOL_MIN)
     if not roots:
         raise FitFailed("no limiting root f(E) = gamma in this gap")

@@ -14,7 +14,9 @@ solved by shift-invert Lanczos for that many pairs, in a Krylov space of
 resolve it (spectrum slicing).  The pencil is 2R identical edge blocks
 joined at R - 1 vertices, and both factorizations use that: the count
 eliminates the edges (one scalar pivot loop per shift), and the
-shift-invert operator is a LAPACK band LU of K - sigma*M.
+shift-invert operator is a LAPACK band LU of K - sigma*M.  A
+`DiscreteOperator` is built from its (chain, pattern) pair alone, so no
+other pencil can reach the count.
 
 Work is done once: `assemble` returns a shared operator from a small LRU
 of recent (chain, pattern) pairs, and each operator keeps its sparse
@@ -50,6 +52,9 @@ ARPACK_TOL = 1e-10
 # operators kept by assemble: the refinement levels of one configuration
 ASSEMBLE_CACHE = 3
 
+# largest pencil dimension a DiscreteOperator is built with
+MAX_DIM = 600_000
+
 
 @dataclass(frozen=True)
 class TruncatedChain:
@@ -58,7 +63,6 @@ class TruncatedChain:
     n_rings: int
     points_per_edge: int
     params: ChainParams
-    max_dim: int = 600_000
 
     def __post_init__(self):
         if self.n_rings % 2 == 0:
@@ -75,36 +79,90 @@ class TruncatedChain:
         return 2 * self.n_rings * (self.points_per_edge - 1) + (self.n_rings - 1)
 
     def pattern_start(self, m: int) -> int:
-        """First perturbed vertex (1-based) for a centered length-m pattern."""
-        if self.n_rings < m + 6:
+        """First perturbed vertex (1-based) for a centered length-m pattern;
+        an empty pattern fits a chain of any length."""
+        if m and self.n_rings < m + 6:
             raise InvalidParameter("chain too short: need n_rings >= pattern length + 6")
         return (self.n_rings - 1 - m) // 2 + 1
 
 
+# the pencil's arrays: built from (chain, gammas), never passed in
+_built = functools.partial(field, init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Banded Hermitian-definite pencil (K, M); eigenvalues of K u = E M u
-    approximate the chain spectrum.
+    """Banded Hermitian-definite pencil (K, M) of `chain` with the centered
+    perturbation `gammas`; eigenvalues of K u = E M u approximate the chain
+    spectrum.
+
+    The six bands are built from (chain, gammas) alone, so the pencil is
+    always its chain's: 2R identical edge blocks joined at R - 1 vertices.
+    Node ordering: ring r occupies [r*(2I+1) - 1, ...) with its left vertex
+    first (absent for ring 0), then interleaved (upper_i, lower_i) pairs;
+    the terminal vertices are Dirichlet and carry no node.  Raises
+    DimensionOverflow above MAX_DIM nodes.
 
     Frozen, with read-only arrays, because `assemble` shares it.  It keeps
     its sparse pencil and the windows `spectrum_window` has solved on it;
-    a copy made with `dataclasses.replace` starts with neither."""
+    a copy made with `dataclasses.replace`, which takes only chain and
+    gammas, starts with neither."""
 
     chain: TruncatedChain
     gammas: tuple[float, ...]
-    kd: np.ndarray   # K diagonal (real parts only are nonzero)
-    k1: np.ndarray   # K[i, i+1]
-    k2: np.ndarray   # K[i, i+2]
-    md: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    vertex_nodes: np.ndarray   # global node index of interior vertex j (1..R-1)
-    ring_of_node: np.ndarray   # ring index 0..R-1 for every node
+    kd: np.ndarray = _built()   # K diagonal (real parts only are nonzero)
+    k1: np.ndarray = _built()   # K[i, i+1]
+    k2: np.ndarray = _built()   # K[i, i+2]
+    md: np.ndarray = _built()
+    m1: np.ndarray = _built()
+    m2: np.ndarray = _built()
+    vertex_nodes: np.ndarray = _built()   # global node index of interior vertex j (1..R-1)
+    ring_of_node: np.ndarray = _built()   # ring index 0..R-1 for every node
     _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("kd", "k1", "k2", "md", "m1", "m2", "vertex_nodes", "ring_of_node"):
-            getattr(self, name).flags.writeable = False
+        chain, gammas = self.chain, tuple(float(g) for g in self.gammas)
+        if chain.dim > MAX_DIM:
+            raise DimensionOverflow(f"dim {chain.dim} exceeds cap {MAX_DIM}")
+        start = chain.pattern_start(len(gammas))
+
+        n, h, R, I = chain.dim, chain.h, chain.n_rings, chain.points_per_edge - 1
+        block = 2 * I + 1
+        k1, m1 = np.zeros((2, n - 1), dtype=complex)
+        k2, m2 = np.zeros((2, n - 2), dtype=complex)
+
+        # every grid link contributes 1/h to both endpoint diagonals of K and
+        # 5h/12 to both of M (interior nodes then carry 2/h and 10h/12, the
+        # Numerov weights); off-diagonal entries take the link phase
+        A = chain.params.A
+        phase_up = complex(math.cos(A * h), math.sin(A * h))     # multiplies u_{i+1} on upper edges
+        links = _link_rows(R, I)
+        for lower, omega in enumerate((phase_up, np.conj(phase_up))):
+            k_link, m_link = -omega / h, omega * h / 12.0
+            for d, kb, mb in ((1, k1, m1), (2, k2, m2)):
+                rows = links[d][lower]
+                kb[rows] += k_link
+                mb[rows] += m_link
+
+        # the diagonals sum those link terms one at a time, as a per-link
+        # loop would: two per interior node, four per vertex
+        vertex_nodes = np.arange(1, R) * block - 1
+        x, w = 1.0 / h, 5.0 * h / 12.0
+        kd, md = np.full(n, x + x), np.full(n, w + w)
+        kd[vertex_nodes], md[vertex_nodes] = x + x + x + x, w + w + w + w
+
+        # delta couplings on interior vertices
+        coupling = np.full(R - 1, chain.params.alpha)
+        coupling[start - 1:start - 1 + len(gammas)] += gammas
+        kd[vertex_nodes] += coupling
+
+        ring_of_node = (np.arange(n) + 1) // block
+
+        object.__setattr__(self, "gammas", gammas)
+        for name, a in dict(kd=kd, k1=k1, k2=k2, md=md, m1=m1, m2=m2,
+                            vertex_nodes=vertex_nodes, ring_of_node=ring_of_node).items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
@@ -130,102 +188,32 @@ class DiscreteOperator:
 
     @functools.cached_property
     def _edges(self):
-        """What `eigen_count` reads of the pencil, checked once: the edge
-        diagonal (kd, md), the upper-edge link (k, m), the squared real part
-        of the ring phase (the product of the M link phases along an edge)
-        and the vertex diagonals.
-
-        Raises InvalidParameter unless the arrays are the pencil of a chain
-        of `chain`'s size whose interior nodes all carry one diagonal and
-        whose links all carry one link, conjugated on lower edges, to 4 eps
-        (assembly rounds the two edges' links apart by an ulp)."""
-        R, I = self.chain.n_rings, self.chain.points_per_edge - 1
-        n = self.chain.dim
-        if (len(self.kd), len(self.md), len(self.k1), len(self.m1), len(self.k2), len(self.m2)) \
-                != (n, n, n - 1, n - 1, n - 2, n - 2):
-            raise InvalidParameter(f"pencil arrays do not have the dimension {n} of its chain")
-        vertex = np.arange(1, R) * (2 * I + 1) - 1
-        interior = np.ones(n, dtype=bool)
-        interior[vertex] = False
+        """What `eigen_count` reads of the pencil: the edge diagonal (kd,
+        md), the upper-edge link (k, m), the squared real part of the ring
+        phase (the product of the link phases along an edge) and the vertex
+        diagonals."""
         kd, md, k, m = float(self.kd[0]), float(self.md[0]), complex(self.k2[0]), complex(self.m2[0])
-        tol = 4 * np.finfo(float).eps
-        uniform = (self.kd[interior] == kd).all() and (self.md[interior] == md).all()
-        uniform &= abs((k * m.conjugate()).imag) <= tol * abs(k * m)   # one phase for K and M
-        links = _link_rows(R, I)
-        for name, link in (("k", k), ("m", m)):
-            for d in (1, 2):
-                band = getattr(self, f"{name}{d}")
-                want = np.zeros(len(band), dtype=complex)
-                for lower, rows in enumerate(links[d]):
-                    want[rows] = link.conjugate() if lower else link
-                uniform &= bool(np.abs(band - want).max(initial=0.0) <= tol * abs(link))
-        if not uniform:
-            raise InvalidParameter("pencil arrays are not a uniform-edge chain's; its inertia cannot be counted")
-        return kd, md, k, m, (((k / abs(k)) ** (I + 1)).real) ** 2, self.kd[vertex].tolist(), self.md[vertex].tolist()
+        ring2 = (((k / abs(k)) ** self.chain.points_per_edge).real) ** 2
+        return kd, md, k, m, ring2, self.kd[self.vertex_nodes].tolist(), self.md[self.vertex_nodes].tolist()
 
 
 def assemble(chain: TruncatedChain, gammas: Sequence[float]) -> DiscreteOperator:
-    """The pencil for the chain with a centered perturbation pattern.
+    """The operator for the chain with a centered perturbation pattern.
 
     Operators are shared: the last ASSEMBLE_CACHE distinct (chain, gammas)
     pairs, gammas taken as a tuple of floats, return the same (read-only)
     operator, with the windows already solved on it.
-
-    Node ordering: ring r occupies [r*(2I+1) - 1, ...) with its left vertex
-    first (absent for ring 0), then interleaved (upper_i, lower_i) pairs;
-    the terminal vertices are Dirichlet and carry no node.
     """
     return _assemble(chain, tuple(float(g) for g in gammas))
 
 
-@functools.lru_cache(maxsize=ASSEMBLE_CACHE)
-def _assemble(chain: TruncatedChain, gammas: tuple[float, ...]) -> DiscreteOperator:
-    if chain.dim > chain.max_dim:
-        raise DimensionOverflow(f"dim {chain.dim} exceeds cap {chain.max_dim}")
-    start = chain.pattern_start(len(gammas))
-
-    n = chain.dim
-    h = chain.h
-    R = chain.n_rings
-    I = chain.points_per_edge - 1
-    block = 2 * I + 1
-    k1, m1 = np.zeros((2, n - 1), dtype=complex)
-    k2, m2 = np.zeros((2, n - 2), dtype=complex)
-
-    # every grid link contributes 1/h to both endpoint diagonals of K and
-    # 5h/12 to both of M (interior nodes then carry 2/h and 10h/12, the
-    # Numerov weights); off-diagonal entries take the link phase
-    A = chain.params.A
-    phase_up = complex(math.cos(A * h), math.sin(A * h))     # multiplies u_{i+1} on upper edges
-    links = _link_rows(R, I)
-    for lower, omega in enumerate((phase_up, np.conj(phase_up))):
-        k_link, m_link = -omega / h, omega * h / 12.0
-        for d, kb, mb in ((1, k1, m1), (2, k2, m2)):
-            rows = links[d][lower]
-            kb[rows] += k_link
-            mb[rows] += m_link
-
-    # the diagonals sum those link terms one at a time, as a per-link
-    # loop would: two per interior node, four per vertex
-    vertex_nodes = np.arange(1, R) * block - 1
-    x, w = 1.0 / h, 5.0 * h / 12.0
-    kd, md = np.full(n, x + x), np.full(n, w + w)
-    kd[vertex_nodes], md[vertex_nodes] = x + x + x + x, w + w + w + w
-
-    # delta couplings on interior vertices
-    coupling = np.full(R - 1, chain.params.alpha)
-    coupling[start - 1:start - 1 + len(gammas)] += gammas
-    kd[vertex_nodes] += coupling
-
-    ring_of_node = (np.arange(n) + 1) // block
-
-    return DiscreteOperator(chain, gammas, kd, k1, k2, md, m1, m2, vertex_nodes, ring_of_node)
+_assemble = functools.lru_cache(maxsize=ASSEMBLE_CACHE)(DiscreteOperator)
 
 
 def _link_rows(R: int, I: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """For each band offset d (1 and 2), the rows of that band that hold a
-    grid link on upper and on lower edges, in `assemble`'s node ordering of
-    a chain of R rings with I interior points per edge."""
+    grid link on upper and on lower edges, in `DiscreteOperator`'s node
+    ordering of a chain of R rings with I interior points per edge."""
     # nodes[r, e, j]: point j of edge e (0 upper, 1 lower) of ring r,
     # vertices at j = 0 and I+1, -1 at the Dirichlet ends
     block = 2 * I + 1
@@ -255,9 +243,8 @@ def eigen_count(op: DiscreteOperator, s: float) -> int:
     |S_j,j+1|^2 = (2 Re(omega^M) b^2 (T^-1)_1I)^2, omega^M being the ring
     phase; the vertex pivots q_j = S_jj - |S_j-1,j|^2 / q_j-1 give nu(S).
 
-    Raises InvalidParameter for a pencil that is not a uniform-edge
-    chain's, and SolverNoConvergence where a zero pivot, an overflow or a
-    NaN (a non-finite s) voids the count."""
+    Raises SolverNoConvergence where a zero pivot, an overflow or a NaN (a
+    non-finite s) voids the count."""
     kd, md, k, m, ring2, vk, vm = op._edges
     s = float(s)    # a numpy float would make every pivot a numpy scalar, at half the speed
     d, b2 = kd - s * md, abs(k - s * m) ** 2

@@ -155,6 +155,14 @@ class TestWeakCoupling:
                 gap, WeakCouplingProblem((0.8,), 1e-2), params07_module, EPS_LADDER
             )
 
+    @pytest.mark.parametrize("eps_list", [[1e-3] * 4, EPS_LADDER[:3] + EPS_LADDER[:2]])
+    def test_fit_failed_with_fewer_than_four_distinct_eps(self, params07_module, layout07_module, eps_list):
+        # four equal eps used to fit a slope of 1.2128 with r2 = 1.0
+        with pytest.raises(FitFailed, match="distinct"):
+            weak_gap_distance_scaling(
+                layout07_module.gaps[0], WeakCouplingProblem((-1.0,), 1e-2), params07_module, eps_list
+            )
+
 
 class TestDistantPairs:
     def test_pair_validation(self):
@@ -162,6 +170,26 @@ class TestDistantPairs:
             DistantPair(1.0, 0.0, 3)
         with pytest.raises(ValueError):
             DistantPair(1.0, 1.0, -1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                DistantPair(bad, -1.0, 3)
+            with pytest.raises(ValueError, match="finite"):
+                DistantPair(-1.0, bad, 3)
+
+    def test_memory_does_not_grow_with_separation(self, params07_module, layout07_module):
+        # the residual is closed-form in n; a scan pattern of n + 2 entries
+        # peaked at 16.7 MB here
+        import tracemalloc
+
+        gap = layout07_module.gaps[0]
+        distant_solve(DistantPair(-1.5, -1.5, 4), gap, params07_module)   # warm caches
+        tracemalloc.start()
+        try:
+            roots = distant_solve(DistantPair(-1.5, -1.5, 10**6), gap, params07_module)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(roots) == 2 and peak < 1_000_000   # the pair, split below double precision
 
     def test_pattern_expansion(self):
         pair = DistantPair(-1.5, 0.7, 3)
@@ -263,6 +291,10 @@ class TestSplitting:
             splitting_rate(
                 DistantPair(-1.5, -1.0, 4), layout07_module.gaps[0], params07_module, [4, 6, 8, 10]
             )
+
+    def test_fit_failed_with_fewer_than_four_distinct_separations(self, params07_module, layout07_module):
+        with pytest.raises(FitFailed, match="distinct"):
+            splitting_rate(DistantPair(-1.0, -1.0, 4), layout07_module.gaps[0], params07_module, [4, 4, 4, 4])
 
     def test_fit_report_shape(self, params07_module, layout07_module):
         fit, _ = splitting_rate(

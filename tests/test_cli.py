@@ -169,12 +169,31 @@ class TestExitCodes:
             ["distant", "--cosA", "0.7", "--g1", "0", "--g2", "-1.5", "--n", "4"],
             ["bands", "--cosA", "2"],
             ["impurity", "--cosA", "0.6", "--gamma", "nan"],
+            ["distant", "--cosA", "0.7", "--g1", "nan", "--g2", "-1.5", "--n", "4"],
+            ["distant", "--cosA", "0.7", "--g1", "-1.5", "--g2", "inf", "--n", "4"],
+            ["oracle", "--seed", "-1", "--cases", "1"],
+            ["oracle", "--cases", "-1"],
         ],
-        ids=["gap-negative", "distant-gap-99", "eps-2", "n-negative", "n-fractional", "g1-zero", "cosA-2", "gamma-nan"],
+        ids=["gap-negative", "distant-gap-99", "eps-2", "n-negative", "n-fractional", "g1-zero", "cosA-2", "gamma-nan",
+             "g1-nan", "g2-inf", "oracle-seed-negative", "oracle-cases-negative"],
     )
     def test_invalid_value_is_a_configuration_error(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", "1e-3,1e-3,1e-3,1e-3"],
+            ["distant", "--cosA", "0.7", "--alpha", "1", "--g1", "-1", "--g2", "-1", "--n", "4,4,4,4"],
+        ],
+        ids=["weak", "distant"],
+    )
+    def test_fit_on_repeated_values_is_a_numeric_failure(self, argv, capsys):
+        # four equal values used to print a fit with r2 = 1.0 and exit 0
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("numeric failure: need at least 4 distinct")
 
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 2

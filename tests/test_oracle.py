@@ -8,6 +8,7 @@ import scipy.linalg
 from ringchain import (
     ChainParams,
     DimensionOverflow,
+    DiscreteOperator,
     PerturbationPattern,
     TruncatedChain,
     assemble,
@@ -50,15 +51,47 @@ class TestAssembly:
         assert chain.dim == 2 * 9 * 63 + 8
         assert assemble(chain, [0.0]).dim == chain.dim
 
-    def test_validation(self, p06):
+    def test_validation(self, p06, monkeypatch):
+        from ringchain import oracle
+
         with pytest.raises(ValueError):
             TruncatedChain(8, 64, p06)   # even ring count
         with pytest.raises(ValueError):
             TruncatedChain(9, 32, p06)   # too coarse
-        with pytest.raises(DimensionOverflow):
-            assemble(TruncatedChain(9, 64, p06, max_dim=100), [0.0])
         with pytest.raises(ValueError):
             TruncatedChain(7, 64, p06).pattern_start(3)  # 7 < 3 + 6
+        assert TruncatedChain(3, 64, p06).pattern_start(0) == 2   # an empty pattern fits any chain
+        # a pattern no other test assembles, so the shared operators cannot
+        # answer before the cap is checked
+        chain = TruncatedChain(9, 64, p06)
+        monkeypatch.setattr(oracle, "MAX_DIM", chain.dim)
+        assert assemble(chain, [0.375]).dim == oracle.MAX_DIM
+        monkeypatch.setattr(oracle, "MAX_DIM", chain.dim - 1)
+        with pytest.raises(DimensionOverflow):
+            assemble(chain, [0.625])
+
+    def test_arrays_are_built_from_the_chain_only(self, p06):
+        # the pencil's arrays are not fields that replace() or the
+        # constructor take, so a pencil that is not its chain's cannot be built
+        op = assemble(TruncatedChain(9, 64, p06), [0.0])
+        for name in ("kd", "k1", "k2", "md", "m1", "m2", "vertex_nodes", "ring_of_node"):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(op, **{name: getattr(op, name).copy()})
+        with pytest.raises(TypeError):
+            DiscreteOperator(op.chain, op.gammas, op.kd)
+        copy = dataclasses.replace(op)
+        assert copy == op and copy.kd is not op.kd and np.array_equal(copy.kd, op.kd)
+
+    def test_unperturbed_chain_is_a_leading_block(self, p06):
+        # the leading 380 nodes of the 11-ring pencil are the 3-ring
+        # chain's pencil, cut at vertex 3 as at a Dirichlet end
+        op = assemble(TruncatedChain(11, 64, p06), [0.0])
+        small = assemble(TruncatedChain(3, 64, p06), ())
+        n = small.dim
+        assert n == 380 and small.gammas == ()
+        for name, cut in (("kd", n), ("md", n), ("k1", n - 1), ("m1", n - 1), ("k2", n - 2), ("m2", n - 2),
+                          ("vertex_nodes", 2), ("ring_of_node", n)):
+            assert np.array_equal(getattr(small, name), getattr(op, name)[:cut]), name
 
     def test_free_chain_nonnegative(self):
         p = ChainParams(0.0, 0.0)
@@ -244,26 +277,6 @@ class TestInertiaCount:
             with pytest.raises(SolverNoConvergence):
                 eigen_count(op, s)
 
-    def test_pencil_that_is_not_its_chains_raises(self, p06):
-        op = assemble(TruncatedChain(9, 64, p06), [0.0])
-        n, interior, vertex = 240, 5, int(op.vertex_nodes[1])
-        bad_link, bad_diagonal, bad_vertex_link = op.k1.copy(), op.kd.copy(), op.m2.copy()
-        bad_link[interior] += 1e-3      # joins upper_i and lower_i of one ring
-        bad_diagonal[interior] += 1e-9
-        bad_vertex_link[vertex] *= 1j   # vertex to lower_0 of ring 2
-        for kwargs in (
-            dict(kd=op.kd[:n], k1=op.k1[:n - 1], k2=op.k2[:n - 2], md=op.md[:n], m1=op.m1[:n - 1], m2=op.m2[:n - 2]),
-            dict(k1=bad_link),
-            dict(kd=bad_diagonal),
-            dict(m2=bad_vertex_link),
-            dict(m1=op.m1.conj(), m2=op.m2.conj()),   # M's links carry the opposite flux to K's
-        ):
-            bad = dataclasses.replace(op, **kwargs)
-            with pytest.raises(InvalidParameter):
-                eigen_count(bad, 1.0)
-            with pytest.raises(InvalidParameter):
-                spectrum_window(bad, 0.9, 1.1)
-
     def test_band_lu_solves(self, dense_pencil):
         # the shift-invert factor solves (K - sigma*M) x = b to 1e-12
         # relative in the widest gap below 20; beside the flat-band cluster
@@ -390,21 +403,12 @@ class TestSpectra:
 
     def test_whole_spectrum_window(self, p06):
         # a window holding every eigenvalue needs k >= dim - 1 pairs, which
-        # ARPACK refuses with a TypeError; slicing enumerates it.  The
-        # leading 380 nodes of the 11-ring pencil are a 3-ring chain's
-        # pencil, cut at vertex 3 as at a Dirichlet end, which keeps this
-        # cheap (the whole dim-1396 pencil enumerates too, in about 80 s)
-        op = assemble(TruncatedChain(11, 64, p06), [0.0])
-        chain = TruncatedChain(3, 64, p06)
-        n = chain.dim
-        block = dataclasses.replace(
-            op, chain=chain, kd=op.kd[:n], k1=op.k1[:n - 1], k2=op.k2[:n - 2],
-            md=op.md[:n], m1=op.m1[:n - 1], m2=op.m2[:n - 2],
-            vertex_nodes=op.vertex_nodes[:2], ring_of_node=op.ring_of_node[:n],
-        )
-        vals, vecs = spectrum_window(block, -10.0, 1e7)
-        want = _dense_spectrum(block)
-        assert len(vals) == n and vecs.shape == (n, n)
+        # ARPACK refuses with a TypeError; slicing enumerates it.  Three
+        # rings keep this cheap (dim 380; a 7-ring pencil takes 8x as long)
+        op = assemble(TruncatedChain(3, 64, p06), ())
+        vals, vecs = spectrum_window(op, -10.0, 1e7)
+        want = _dense_spectrum(op)
+        assert len(vals) == op.dim and vecs.shape == (op.dim, op.dim)
         assert np.abs(vals - want).max() <= 1e-9 * max(1.0, want.max())
 
     def test_slicing_stops_at_arpack_resolution(self, p06, monkeypatch):
@@ -490,14 +494,14 @@ class TestReuse:
                 a[0] = 0
 
     def test_replaced_operator_has_its_own_memo(self, p06):
-        # a copy with another diagonal must solve its own pencil, not
+        # a copy with another pattern must solve its own pencil, not
         # recall the original's windows or reuse its sparse matrices
         op = assemble(TruncatedChain(9, 64, p06), [-1.25])
         v1, _ = spectrum_window(op, -3.0, 0.5)
-        shifted = dataclasses.replace(op, kd=op.kd + 0.5 * op.md)
+        shifted = dataclasses.replace(op, gammas=(-2.5,))
         v2, _ = spectrum_window(shifted, -3.0, 0.5)
         K, M = shifted.to_sparse()
-        assert np.array_equal(K.diagonal(), shifted.kd)
+        assert np.array_equal(K.diagonal(), shifted.kd) and not np.array_equal(shifted.kd, op.kd)
         assert eigen_count(shifted, 0.5) - eigen_count(shifted, -3.0) == len(v2)
         assert len(v2) != len(v1) or np.abs(v2 - v1).max() > 1e-3
 
