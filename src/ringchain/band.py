@@ -10,6 +10,7 @@ Gap 0 is the semi-infinite piece below the first band.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -266,17 +267,30 @@ class FlatBandEigenfunction:
 
     Components live on one ring (integer flux) or two adjacent rings,
     each parametrized by x in [0, pi]; 'upper'/'lower' distinguish the
-    two halfcircles.  Vanishes at every vertex.
+    two halfcircles.  Vanishes at every vertex.  The four components are
+    sampled at x on first use.
     """
 
     n: int
     params: ChainParams
     x: np.ndarray
-    upper_left: np.ndarray
-    lower_left: np.ndarray
-    upper_right: np.ndarray
-    lower_right: np.ndarray
     single_ring: bool
+
+    @functools.cached_property
+    def upper_left(self) -> np.ndarray:
+        return self.evaluate("upper", 0, self.x)
+
+    @functools.cached_property
+    def lower_left(self) -> np.ndarray:
+        return self.evaluate("lower", 0, self.x)
+
+    @functools.cached_property
+    def upper_right(self) -> np.ndarray:
+        return self.evaluate("upper", 1, self.x)
+
+    @functools.cached_property
+    def lower_right(self) -> np.ndarray:
+        return self.evaluate("lower", 1, self.x)
 
     def evaluate(self, component: str, ring: int, x) -> np.ndarray:
         """Analytic values of one component; usable for refinement studies."""
@@ -299,19 +313,4 @@ def flat_band_eigenfunction(n: int, params: ChainParams, samples: int = 257) -> 
     if n < 1:
         raise ValueError("n must be a positive integer")
     x = np.linspace(0.0, math.pi, samples)
-    single = params.is_non_magnetic
-    fb = FlatBandEigenfunction(
-        n=n,
-        params=params,
-        x=x,
-        upper_left=np.empty(0),
-        lower_left=np.empty(0),
-        upper_right=np.empty(0),
-        lower_right=np.empty(0),
-        single_ring=single,
-    )
-    object.__setattr__(fb, "upper_left", fb.evaluate("upper", 0, x))
-    object.__setattr__(fb, "lower_left", fb.evaluate("lower", 0, x))
-    object.__setattr__(fb, "upper_right", fb.evaluate("upper", 1, x))
-    object.__setattr__(fb, "lower_right", fb.evaluate("lower", 1, x))
-    return fb
+    return FlatBandEigenfunction(n=n, params=params, x=x, single_ring=params.is_non_magnetic)

@@ -6,7 +6,9 @@ bulk uses the Numerov-weighted three-point pencil (fourth order), and each
 vertex carries the delta coupling in a lumped control-volume row (second
 order, which therefore sets the observed convergence order).  The result
 is a generalized Hermitian-definite pencil (K, M), banded with bandwidth 2
-in a position-interleaved node ordering.
+in a position-interleaved node ordering: one ring's block of nodes (its
+left vertex, then the edges' interior points in (upper, lower) pairs),
+tiled once per ring, the Dirichlet end vertices left out.
 
 Each window is counted exactly by the inertia of K - s*M at its ends and
 solved by shift-invert Lanczos for that many pairs, in a Krylov space of
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -65,8 +68,12 @@ class TruncatedChain:
     params: ChainParams
 
     def __post_init__(self):
-        if self.n_rings % 2 == 0:
-            raise InvalidParameter("n_rings must be odd so the perturbation can be centered")
+        try:
+            operator.index(self.n_rings), operator.index(self.points_per_edge)
+        except TypeError:
+            raise InvalidParameter("n_rings and points_per_edge must be integers") from None
+        if self.n_rings < 1 or self.n_rings % 2 == 0:
+            raise InvalidParameter("n_rings must be positive and odd so the perturbation can be centered")
         if self.points_per_edge < 64:
             raise InvalidParameter("need at least 64 points per edge")
 
@@ -98,10 +105,11 @@ class DiscreteOperator:
 
     The six bands are built from (chain, gammas) alone, so the pencil is
     always its chain's: 2R identical edge blocks joined at R - 1 vertices.
-    Node ordering: ring r occupies [r*(2I+1) - 1, ...) with its left vertex
-    first (absent for ring 0), then interleaved (upper_i, lower_i) pairs;
-    the terminal vertices are Dirichlet and carry no node.  Raises
-    DimensionOverflow above MAX_DIM nodes.
+    Node ordering: one ring's block of 2I+1 nodes, its left vertex then
+    interleaved (upper_i, lower_i) pairs, tiled R times, so ring r occupies
+    [r*(2I+1) - 1, (r+1)*(2I+1) - 1); ring 0's left vertex and the right
+    end vertex are Dirichlet and carry no node.  Raises DimensionOverflow
+    above MAX_DIM nodes.
 
     Frozen, with read-only arrays, because `assemble` shares it.  It keeps
     its sparse pencil and the windows `spectrum_window` has solved on it;
@@ -128,30 +136,34 @@ class DiscreteOperator:
 
         n, h, R, I = chain.dim, chain.h, chain.n_rings, chain.points_per_edge - 1
         block = 2 * I + 1
-        k1, m1 = np.zeros((2, n - 1), dtype=complex)
-        k2, m2 = np.zeros((2, n - 2), dtype=complex)
 
-        # every grid link contributes 1/h to both endpoint diagonals of K and
-        # 5h/12 to both of M (interior nodes then carry 2/h and 10h/12, the
-        # Numerov weights); off-diagonal entries take the link phase
+        # one ring's block: its left vertex v, then (upper_i, lower_i) pairs.
+        # Band 1 links v to upper_1 and lower_I to the next vertex; band 2
+        # links v to lower_1, upper_i onward (odd rows) and lower_i to
+        # lower_i+1 (even rows).  Each grid link adds 1/h to both endpoint
+        # diagonals of K and 5h/12 to both of M, one term at a time: four at
+        # v, two (the Numerov weights) elsewhere.
+        k1, m1, k2, m2 = np.zeros((4, block), dtype=complex)
         A = chain.params.A
         phase_up = complex(math.cos(A * h), math.sin(A * h))     # multiplies u_{i+1} on upper edges
-        links = _link_rows(R, I)
-        for lower, omega in enumerate((phase_up, np.conj(phase_up))):
+        for omega, row1, rows2 in ((phase_up, 0, slice(1, None, 2)), (np.conj(phase_up), -1, slice(0, -1, 2))):
             k_link, m_link = -omega / h, omega * h / 12.0
-            for d, kb, mb in ((1, k1, m1), (2, k2, m2)):
-                rows = links[d][lower]
-                kb[rows] += k_link
-                mb[rows] += m_link
-
-        # the diagonals sum those link terms one at a time, as a per-link
-        # loop would: two per interior node, four per vertex
-        vertex_nodes = np.arange(1, R) * block - 1
+            k1[row1] += k_link
+            m1[row1] += m_link
+            k2[rows2] += k_link
+            m2[rows2] += m_link
         x, w = 1.0 / h, 5.0 * h / 12.0
-        kd, md = np.full(n, x + x), np.full(n, w + w)
-        kd[vertex_nodes], md[vertex_nodes] = x + x + x + x, w + w + w + w
+        kd, md = np.full(block, x + x), np.full(block, w + w)
+        kd[0], md[0] = x + x + x + x, w + w + w + w
+
+        # R blocks without ring 0's left vertex, which is Dirichlet; cutting
+        # each band to its length drops the links to the right Dirichlet end
+        kd, md = np.tile(kd, R)[1:], np.tile(md, R)[1:]
+        k1, m1 = np.tile(k1, R)[1:n], np.tile(m1, R)[1:n]
+        k2, m2 = np.tile(k2, R)[1:n - 1], np.tile(m2, R)[1:n - 1]
 
         # delta couplings on interior vertices
+        vertex_nodes = np.arange(1, R) * block - 1
         coupling = np.full(R - 1, chain.params.alpha)
         coupling[start - 1:start - 1 + len(gammas)] += gammas
         kd[vertex_nodes] += coupling
@@ -208,23 +220,6 @@ def assemble(chain: TruncatedChain, gammas: Sequence[float]) -> DiscreteOperator
 
 
 _assemble = functools.lru_cache(maxsize=ASSEMBLE_CACHE)(DiscreteOperator)
-
-
-def _link_rows(R: int, I: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """For each band offset d (1 and 2), the rows of that band that hold a
-    grid link on upper and on lower edges, in `DiscreteOperator`'s node
-    ordering of a chain of R rings with I interior points per edge."""
-    # nodes[r, e, j]: point j of edge e (0 upper, 1 lower) of ring r,
-    # vertices at j = 0 and I+1, -1 at the Dirichlet ends
-    block = 2 * I + 1
-    base = np.arange(R) * block - 1   # left vertex of ring r
-    nodes = np.empty((R, 2, I + 2), dtype=int)
-    nodes[..., 0], nodes[..., -1] = base[:, None], base[:, None] + block
-    nodes[..., 1:-1] = base[:, None, None] + 1 + np.arange(2)[:, None] + 2 * np.arange(I)
-    nodes[0, :, 0] = nodes[-1, :, -1] = -1
-    a, b = nodes[..., :-1], nodes[..., 1:]
-    off = np.where((a >= 0) & (b >= 0), b - a, 0)
-    return {d: (a[:, 0][off[:, 0] == d], a[:, 1][off[:, 1] == d]) for d in (1, 2)}
 
 
 def eigen_count(op: DiscreteOperator, s: float) -> int:
@@ -432,10 +427,13 @@ def convergence_study(
     value extrapolates the h^2 (then higher) error terms away.  When a
     reference (for example a characteristic-equation root) is supplied it
     is recorded in the error column and used to center the window search.
+    Each resolution is solved once; fewer than 3 distinct ones raise
+    FitFailed, since the extrapolation divides by their ratios less one,
+    and a non-integral one raises InvalidParameter.
     """
-    Ms = sorted(int(M) for M in M_list)
+    Ms = sorted(set(M_list))
     if len(Ms) < 3:
-        raise FitFailed("need at least 3 grid resolutions")
+        raise FitFailed("need at least 3 distinct grid resolutions")
     near = reference if reference is not None else 0.5 * (window[0] + window[1])
     vals = []
     for M in Ms:

@@ -60,6 +60,11 @@ class TestAssembly:
             TruncatedChain(9, 32, p06)   # too coarse
         with pytest.raises(ValueError):
             TruncatedChain(7, 64, p06).pattern_start(3)  # 7 < 3 + 6
+        for rings, M in ((-1, 64), (-3, 64), (9, 64.5), (9.0, 64), (9, 64.0), ("9", 64)):
+            with pytest.raises(InvalidParameter):
+                TruncatedChain(rings, M, p06)
+        numpy_ints = TruncatedChain(np.int64(3), np.int32(64), p06)
+        assert assemble(numpy_ints, ()).dim == numpy_ints.dim == 380
         assert TruncatedChain(3, 64, p06).pattern_start(0) == 2   # an empty pattern fits any chain
         # a pattern no other test assembles, so the shared operators cannot
         # answer before the cap is checked
@@ -148,6 +153,15 @@ def _assemble_reference(chain, gammas):
                 vertex_nodes=vertex_nodes, ring_of_node=ring_of_node)
 
 
+def _assert_matches_reference(chain, gammas):
+    op = assemble(chain, gammas)
+    for name, want in _assemble_reference(chain, gammas).items():
+        got = getattr(op, name)
+        # the reference's vertex list of a 1-ring chain is np.array([]), a float array
+        assert got.dtype == want.dtype or want.size == 0, name
+        assert np.array_equal(got, want), name
+
+
 class TestAssemblyBitIdentity:
     @pytest.mark.parametrize("cos_flux", [0.7, -0.45, 1.0, -1.0])
     @pytest.mark.parametrize("M", [64, 128, 256])
@@ -156,12 +170,15 @@ class TestAssemblyBitIdentity:
         rng = np.random.default_rng([m, M, int(1000 * cos_flux) % 2**16])
         params = ChainParams.from_cos_flux(cos_flux, float(rng.uniform(-3.0, 3.0)))
         gammas = [float(g) for g in rng.uniform(-2.2, 2.2, m)]
-        chain = TruncatedChain(m + 6 + (m + 6 + 1) % 2, M, params)
-        op = assemble(chain, gammas)
-        for name, want in _assemble_reference(chain, gammas).items():
-            got = getattr(op, name)
-            assert got.dtype == want.dtype, name
-            assert np.array_equal(got, want), name
+        _assert_matches_reference(TruncatedChain(m + 6 + (m + 6 + 1) % 2, M, params), gammas)
+
+    def test_benchmark_chain(self, p06):
+        # the oracle cross-check's finest pencil: 25 rings, M = 256
+        _assert_matches_reference(TruncatedChain(25, 256, p06), [-1.5, 0.75, -2.0])
+
+    def test_one_ring_chain(self, p06):
+        # one block with both vertices Dirichlet: no vertex node, no band-1 link
+        _assert_matches_reference(TruncatedChain(1, 64, p06), ())
 
 
 def _dense_spectrum(op):
@@ -557,6 +574,21 @@ class TestConvergence:
 
         with pytest.raises(FitFailed):
             convergence_study(p06, [-2.0], [64, 128], 9, (state.E - 0.1, state.E + 0.1))
+
+    def test_requires_three_distinct_levels(self, p06, gap0_state):
+        # a repeated resolution used to reach richardson_limit and divide by r - 1 = 0
+        _, state = gap0_state
+        from ringchain.errors import FitFailed
+
+        window = (state.E - 0.1, state.E + 0.1)
+        with pytest.raises(FitFailed):
+            convergence_study(p06, [-2.0], [64, 64, 128], 9, window, reference=state.E)
+        study = convergence_study(p06, [-2.0], [128, 64, 96, 64], 9, window, reference=state.E)
+        distinct = convergence_study(p06, [-2.0], [64, 96, 128], 9, window, reference=state.E)
+        assert [r.M for r in study.rows] == [64, 96, 128]
+        assert study == distinct
+        with pytest.raises(InvalidParameter):   # was cut to 64 in silence
+            convergence_study(p06, [-2.0], [64.5, 96, 128], 9, window, reference=state.E)
 
     def test_csv_rows(self, p06, gap0_state):
         _, state = gap0_state
