@@ -25,6 +25,8 @@ TOL_ROOT = 1e-10
 K_STEP = 1.0 / 64.0
 K_REFINE_WINDOW = 1.0 / 16.0
 K_REFINE_STEP = 1.0 / 1024.0
+# largest cutoff accepted: the scan grid holds about 184*sqrt(cutoff) points
+MAX_CUTOFF = 1e6
 
 REGIME_MAGNETIC = "magnetic"
 REGIME_NON_MAGNETIC = "non_magnetic"
@@ -122,16 +124,16 @@ def _edge_roots(params: ChainParams, grid: np.ndarray) -> list[float]:
 
 
 def _check_cutoff(cutoff: float) -> None:
-    if not math.isfinite(cutoff):
-        raise InvalidParameter(f"cutoff must be finite, got {cutoff}")
+    if not (math.isfinite(cutoff) and cutoff <= MAX_CUTOFF):
+        raise InvalidParameter(f"cutoff must be finite and at most {MAX_CUTOFF:g}, got {cutoff}")
 
 
 def band_edges(params: ChainParams, cutoff: float) -> SpectrumLayout:
     """Locate all band edges below cutoff and assemble the layout.
 
-    Raises InvalidParameter for a non-finite cutoff, HalfIntegerFlux in
-    the pure-point regime and CutoffTooSmall if no band intersects
-    (-inf, cutoff].
+    Raises InvalidParameter for a non-finite cutoff or one above
+    MAX_CUTOFF, HalfIntegerFlux in the pure-point regime and
+    CutoffTooSmall if no band intersects (-inf, cutoff].
     """
     _check_cutoff(cutoff)
     if params.is_half_integer_flux:
@@ -198,8 +200,7 @@ def band_edges(params: ChainParams, cutoff: float) -> SpectrumLayout:
 def half_integer_layout(params: ChainParams, cutoff: float) -> SpectrumLayout:
     """The pure-point layout at half-integer flux: no bands or gaps, only
     the flat bands below cutoff.  Raises InvalidParameter for a
-    non-finite cutoff."""
-    _check_cutoff(cutoff)
+    non-finite cutoff or one above MAX_CUTOFF."""
     return SpectrumLayout(
         regime=REGIME_HALF_INTEGER,
         bands=[],
@@ -228,8 +229,10 @@ def flat_band_energies(params: ChainParams, cutoff: float) -> list[float]:
 
     Magnetic and non-magnetic regimes: {n^2 : n in N}.  Half-integer
     flux: additionally the roots of c_kernel(E) + (alpha/4) s_kernel(E)
-    (the whole spectrum is pure point there).
+    (the whole spectrum is pure point there).  Raises InvalidParameter
+    for a non-finite cutoff or one above MAX_CUTOFF.
     """
+    _check_cutoff(cutoff)
     flats = [float(n * n) for n in range(1, int(math.sqrt(max(cutoff, 0.0))) + 1) if n * n <= cutoff]
     if not params.is_half_integer_flux:
         return flats
@@ -261,7 +264,7 @@ def quasimomentum(E: float, params: ChainParams) -> float | None:
     return -math.pi if theta >= math.pi else theta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # holds an array: equal means identical
 class FlatBandEigenfunction:
     """Sampled compactly supported eigenfunction at E = n^2.
 

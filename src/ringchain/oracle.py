@@ -20,9 +20,9 @@ shift-invert operator is a LAPACK band LU of K - sigma*M.  A
 `DiscreteOperator` is built from its (chain, pattern) pair alone, so no
 other pencil can reach the count.
 
-Work is done once: `assemble` returns a shared operator from a small LRU
-of recent (chain, pattern) pairs, and each operator keeps its sparse
-pencil and every window it has solved.  Shared arrays are read-only.
+Work is done once: `assemble` shares operators over a small LRU of
+(chain, pattern) pairs, each keeping every window it has solved.  The
+read-only bands are the pencil's only copy; ARPACK applies K and M from them.
 
 Nothing here touches the dispersion function, Floquet multipliers, the
 quasi-polynomial recursion, or the coupling functions: spectra computed
@@ -40,7 +40,6 @@ from typing import Sequence
 import numpy as np
 # unused here, but perfbench/tracing.py looks up sys.modules["scipy.optimize"]
 import scipy.optimize  # noqa: F401
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
@@ -111,10 +110,10 @@ class DiscreteOperator:
     end vertex are Dirichlet and carry no node.  Raises DimensionOverflow
     above MAX_DIM nodes.
 
-    Frozen, with read-only arrays, because `assemble` shares it.  It keeps
-    its sparse pencil and the windows `spectrum_window` has solved on it;
-    a copy made with `dataclasses.replace`, which takes only chain and
-    gammas, starts with neither."""
+    Frozen, with read-only arrays, because `assemble` shares it.  The bands
+    are its only copy of the pencil.  It keeps the windows `spectrum_window`
+    has solved on it; a copy made with `dataclasses.replace`, which takes
+    only chain and gammas, starts with none."""
 
     chain: TruncatedChain
     gammas: tuple[float, ...]
@@ -179,24 +178,6 @@ class DiscreteOperator:
     @property
     def dim(self) -> int:
         return len(self.kd)
-
-    def to_sparse(self):
-        """The pencil (K, M) as CSC matrices, built once per operator;
-        their data arrays are read-only."""
-        return self._pencil
-
-    @functools.cached_property
-    def _pencil(self):
-        def build(d, o1, o2):
-            X = sp.diags(
-                [np.conj(o2), np.conj(o1), d, o1, o2],
-                offsets=[-2, -1, 0, 1, 2],
-                format="csc",
-            )
-            X.data.flags.writeable = False
-            return X
-
-        return build(self.kd, self.k1, self.k2), build(self.md, self.m1, self.m2)
 
     @functools.cached_property
     def _edges(self):
@@ -277,6 +258,21 @@ def _band_lu(op: DiscreteOperator, sigma: float):
     return lu, piv
 
 
+def _band_operator(d, o1, o2) -> spla.LinearOperator:
+    """K or M as ARPACK applies it: d on the diagonal, o1 and o2 above, their conjugates below."""
+    bands = [(k, o, o.conj()) for k, o in ((1, o1), (2, o2))]
+
+    def matvec(x):
+        x = x.ravel()
+        y = np.multiply(d, x, dtype=complex)
+        for k, above, below in bands:
+            y[:-k] += above * x[k:]
+            y[k:] += below * x[:-k]
+        return y
+
+    return spla.LinearOperator((len(d), len(d)), matvec=matvec, dtype=complex)
+
+
 def _slices(op, v0, lo, n_lo, hi, n_hi):
     """Eigenpairs of the pencil in (lo, hi), holding n_hi - n_lo of them, as
     a list of ascending (vals, vecs) slices: the spectrum slicing of
@@ -290,7 +286,7 @@ def _slices(op, v0, lo, n_lo, hi, n_hi):
         # alive until the cyclic collector runs
         lu, piv = _band_lu(op, center)
         OPinv = spla.LinearOperator((dim, dim), matvec=lambda x: zgbtrs(lu, 2, 2, x, piv)[0], dtype=complex)
-        K, M = op.to_sparse()
+        K, M = _band_operator(op.kd, op.k1, op.k2), _band_operator(op.md, op.m1, op.m2)
         try:
             vals, vecs = spla.eigsh(K, k=count, M=M, sigma=center, which="LM", tol=ARPACK_TOL, v0=v0,
                                     ncv=min(2 * count + 1, dim), OPinv=OPinv)

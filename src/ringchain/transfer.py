@@ -108,7 +108,7 @@ def eigenvectors(E: float, params: ChainParams) -> tuple[np.ndarray, np.ndarray]
     return np.array([1.0, l2]), np.array([1.0, l1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # holds arrays: equal means identical
 class EdgeSamples:
     """Sampled continuum wave on one ring: upper component psi, lower phi."""
 
@@ -173,7 +173,7 @@ def edge_quasiderivatives(E: float, psi_j, psi_j1, params: ChainParams):
     return dpsi_left, dpsi_right, dphi_left, dphi_right
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # holds an array: equal means identical
 class LatticeSolution:
     """Vertex values over a finite index window [j_start, j_start + len)."""
 

@@ -19,7 +19,8 @@ from ringchain import (
     quasimomentum,
     xi_background,
 )
-from ringchain.band import REGIME_HALF_INTEGER, REGIME_MAGNETIC, REGIME_NON_MAGNETIC, half_integer_layout
+from ringchain import band
+from ringchain.band import MAX_CUTOFF, REGIME_HALF_INTEGER, REGIME_MAGNETIC, REGIME_NON_MAGNETIC, half_integer_layout
 from ringchain.errors import InvalidParameter
 
 
@@ -173,12 +174,17 @@ class TestBandEdges:
         with pytest.raises(CutoffTooSmall):
             band_edges(ChainParams(0.0, 1.0), -1.0)
 
-    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf])
-    def test_non_finite_cutoff_rejected(self, cutoff):
-        with pytest.raises(InvalidParameter, match="cutoff must be finite"):
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, math.nextafter(MAX_CUTOFF, math.inf), 1e12])
+    def test_non_finite_cutoff_rejected(self, cutoff, monkeypatch):
+        # a cutoff above MAX_CUTOFF is rejected before any scan grid is built
+        monkeypatch.setattr(band, "_scan_grid", None)
+        with pytest.raises(InvalidParameter, match="cutoff must be finite and at most"):
             band_edges(ChainParams.from_cos_flux(0.7, 1.0), cutoff)
-        with pytest.raises(InvalidParameter, match="cutoff must be finite"):
+        with pytest.raises(InvalidParameter, match="cutoff must be finite and at most"):
             half_integer_layout(ChainParams.from_cos_flux(0.0, 1.0), cutoff)
+        with pytest.raises(InvalidParameter, match="cutoff must be finite and at most"):
+            flat_band_energies(ChainParams.from_cos_flux(0.0, 1.0), cutoff)
+        band._check_cutoff(MAX_CUTOFF)
 
     def test_half_integer_rejected(self):
         with pytest.raises(HalfIntegerFlux):
@@ -281,6 +287,13 @@ class TestFlatBandEigenfunction:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             flat_band_eigenfunction(0, ChainParams(0.0, 0.0))
+
+    def test_compared_and_hashed_by_identity(self):
+        # equal-valued samples are distinct objects; comparing their arrays
+        # would raise numpy's "truth value ... is ambiguous"
+        a, b = (flat_band_eigenfunction(1, ChainParams(0.3, 1.0)) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestQuasimomentum:

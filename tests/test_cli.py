@@ -145,13 +145,15 @@ class TestExitCodes:
             ["bands", "--cosA", "0"],
             ["impurity", "--cosA", "0.6", "--alpha", "1", "--gamma", "-2"],
             ["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", "1e-3"],
+            ["distant", "--cosA", "0.7", "--alpha", "1", "--g1", "-1.5", "--g2", "-1.5", "--n", "4"],
         ],
-        ids=["bands", "bands-half-integer", "impurity", "weak"],
+        ids=["bands", "bands-half-integer", "impurity", "weak", "distant"],
     )
-    @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
+    # the scan grid at cutoff 1e12 would hold about 1.8e8 points per array
+    @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf", "1e12"])
     def test_non_finite_cutoff_is_a_configuration_error(self, argv, cutoff, capsys):
         assert main(argv + [f"--cutoff={cutoff}"]) == 2
-        assert capsys.readouterr().err.startswith("error: cutoff must be finite")
+        assert capsys.readouterr().err.startswith("error: cutoff must be finite and at most 1e+06")
 
     def test_bad_gap_index(self, capsys):
         argv = ["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", "1e-3", "--gap", "99"]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from ringchain import (
     ChainParams,
@@ -34,16 +35,27 @@ def gap0_state(p06):
     return layout, state
 
 
+def _csc(d, o1, o2):
+    """The Hermitian pentadiagonal matrix with diagonal d and bands o1, o2
+    above it (their conjugates below), as a CSC matrix."""
+    return scipy.sparse.diags([np.conj(o2), np.conj(o1), d, o1, o2], offsets=[-2, -1, 0, 1, 2], format="csc")
+
+
+def _sparse_pencil(op):
+    """K and M as CSC matrices, built from the operator's six bands."""
+    return _csc(op.kd, op.k1, op.k2), _csc(op.md, op.m1, op.m2)
+
+
 class TestAssembly:
     def test_hermitian(self, p06):
         op = assemble(TruncatedChain(9, 64, p06), [-1.5])
-        K, M = (X.toarray() for X in op.to_sparse())
+        K, M = (X.toarray() for X in _sparse_pencil(op))
         assert np.abs(K - K.conj().T).max() <= 1e-12
         assert np.abs(M - M.conj().T).max() <= 1e-12
 
     def test_mass_positive_definite(self, p06):
         op = assemble(TruncatedChain(9, 64, p06), [0.0])
-        M = op.to_sparse()[1].toarray()
+        M = _sparse_pencil(op)[1].toarray()
         assert np.linalg.eigvalsh(M).min() > 0
 
     def test_dimension(self, p06):
@@ -181,10 +193,32 @@ class TestAssemblyBitIdentity:
         _assert_matches_reference(TruncatedChain(1, 64, p06), ())
 
 
+class TestBandProducts:
+    """What ARPACK is given: K and M applied from the operator's bands,
+    against the pencil of the per-link reference loop.  The reference is
+    a CSC matrix, since a dense one at the benchmark chain's dim 12,774
+    would take 2.6 GB."""
+
+    @pytest.mark.parametrize("rings, M, gammas", [(25, 256, (-1.5, 0.75, -2.0)), (1, 64, ())],
+                             ids=["benchmark", "one-ring"])
+    def test_band_products_match_the_reference_pencil(self, p06, rings, M, gammas):
+        from ringchain.oracle import _band_operator
+
+        chain = TruncatedChain(rings, M, p06)
+        op, ref = assemble(chain, gammas), _assemble_reference(chain, gammas)
+        rng = np.random.default_rng([rings, M])
+        for bands in (("kd", "k1", "k2"), ("md", "m1", "m2")):
+            got, want = _band_operator(*(getattr(op, b) for b in bands)), _csc(*(ref[b] for b in bands))
+            for _ in range(3):
+                x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+                y = want @ x
+                assert np.linalg.norm(got @ x - y) <= 1e-14 * np.linalg.norm(y), bands
+
+
 def _dense_spectrum(op):
     """Every pencil eigenvalue from dense LAPACK, the reference for the
     sparse path."""
-    K, M = (X.toarray() for X in op.to_sparse())
+    K, M = (X.toarray() for X in _sparse_pencil(op))
     if not (K.imag.any() or M.imag.any()):   # a real pencil solves about 5x faster
         K, M = K.real, M.real
     return scipy.linalg.eigh(K, M, eigvals_only=True)
@@ -279,7 +313,7 @@ class TestInertiaCount:
         import scipy.sparse.linalg as spla
 
         op = assemble(TruncatedChain(25, 128, ChainParams.from_cos_flux(0.7, 1.0)), [-1.0, 0.5, -2.0])
-        K, M = op.to_sparse()
+        K, M = _sparse_pencil(op)
         rng = np.random.default_rng(25)
         for s in rng.uniform(-5.0, 40.0, 40):
             lu = spla.splu(K - s * M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
@@ -305,7 +339,7 @@ class TestInertiaCount:
         from ringchain.oracle import _band_lu
 
         op, vals = dense_pencil
-        K, M = op.to_sparse()
+        K, M = _sparse_pencil(op)
         rng = np.random.default_rng(op.dim)
         b = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
         i = int(np.argmax(np.diff(vals[vals < 20.0])))
@@ -503,21 +537,19 @@ class TestReuse:
         op = assemble(TruncatedChain(9, 64, p06), [-1.25])
         vals, vecs = spectrum_window(op, -3.0, 0.5)
         assert spectrum_window(op, -3.0, 0.5)[0] is vals
-        K, M = op.to_sparse()
-        assert op.to_sparse()[0] is K
         for a in (vals, vecs, op.kd, op.k1, op.k2, op.md, op.m1, op.m2,
-                  op.vertex_nodes, op.ring_of_node, K.data, M.data):
+                  op.vertex_nodes, op.ring_of_node):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
     def test_replaced_operator_has_its_own_memo(self, p06):
         # a copy with another pattern must solve its own pencil, not
-        # recall the original's windows or reuse its sparse matrices
+        # recall the original's windows or reuse its bands
         op = assemble(TruncatedChain(9, 64, p06), [-1.25])
         v1, _ = spectrum_window(op, -3.0, 0.5)
         shifted = dataclasses.replace(op, gammas=(-2.5,))
         v2, _ = spectrum_window(shifted, -3.0, 0.5)
-        K, M = shifted.to_sparse()
+        K, M = _sparse_pencil(shifted)
         assert np.array_equal(K.diagonal(), shifted.kd) and not np.array_equal(shifted.kd, op.kd)
         assert eigen_count(shifted, 0.5) - eigen_count(shifted, -3.0) == len(v2)
         assert len(v2) != len(v1) or np.abs(v2 - v1).max() > 1e-3

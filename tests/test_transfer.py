@@ -209,6 +209,15 @@ class TestReconstruction:
         assert np.abs(edge.psi).max() == 0.0
         assert np.abs(edge.phi).max() == 0.0
 
+    def test_samples_and_lattice_compared_and_hashed_by_identity(self, params07):
+        # equal-valued samples are distinct objects; comparing their arrays
+        # would raise numpy's "truth value ... is ambiguous"
+        for make in (lambda: reconstruct_edge(-0.7, 1.0, 0.37, j=2, params=params07, samples=65),
+                     lambda: bound_state_lattice(-0.7, (-1.0, 0.5), params07)):
+            a, b = make(), make()
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
+
     def test_no_flux_components_coincide(self):
         p = ChainParams(0.0, 1.0)
         edge = reconstruct_edge(0.05, 0.8, -0.2, j=0, params=p)
