@@ -18,7 +18,7 @@ import numpy as np
 from .core import RTOL_MIN, ChainParams, f_single, find_roots, lambda_small
 from .errors import FitFailed, InvalidParameter
 from .impurity import (
-    EDGE_DISCARD, ImpurityState, PerturbationPattern, gap_scan_grid, interior_states, solve_gap,
+    EDGE_DISCARD, ImpurityState, PerturbationPattern, gap_scan_grids, interior_states, solve_gap,
 )
 
 R2_REQUIRED = 0.99
@@ -105,8 +105,8 @@ def weak_predictor(
     target = problem.epsilon * problem.gamma_sum
     if target == 0.0:
         return None
-    roots = find_roots(lambda E: f_single(E, params) - target, gap_scan_grid(gap, problem.pattern(), params, SCAN_POINTS),
-                       1e-15)
+    grid, _ = gap_scan_grids([gap], problem.pattern(), params, SCAN_POINTS)
+    roots = find_roots(lambda E: f_single(E, params) - target, grid, 1e-15)
     return roots[0] if roots else None
 
 
@@ -204,7 +204,7 @@ def distant_solve(
     """
     # the gap-0 scan floor reads only min(0, gammas), the same for the two
     # strengths as for pair.pattern(), whose n + 2 entries cost memory in n
-    grid = gap_scan_grid(gap, PerturbationPattern((pair.gamma1, pair.gamma2)), params, SCAN_POINTS)
+    grid, _ = gap_scan_grids([gap], PerturbationPattern((pair.gamma1, pair.gamma2)), params, SCAN_POINTS)
     if pair.gamma1 == pair.gamma2:
         roots = []
         for sign in (1.0, -1.0):
@@ -229,7 +229,7 @@ def splitting_rate(
     f(E*) = gamma); the fitted slope approaches that reference.
     """
     if pair_template.gamma1 != pair_template.gamma2:
-        raise ValueError("splitting is defined for equal strengths")
+        raise InvalidParameter("splitting is defined for equal strengths")
     if len(set(n_list)) < 4:
         raise FitFailed("need at least 4 distinct separations")
     gamma = pair_template.gamma1
@@ -237,7 +237,7 @@ def splitting_rate(
     # the polish of E* has always run at rtol 4 eps, RTOL_MIN; the grid is
     # distant_solve's, scanned from the floor of the two strengths
     roots = find_roots(lambda E: f_single(E, params) - gamma,
-                       gap_scan_grid(gap, PerturbationPattern((gamma, gamma)), params, SCAN_POINTS), 1e-14,
+                       gap_scan_grids([gap], PerturbationPattern((gamma, gamma)), params, SCAN_POINTS)[0], 1e-14,
                        rtol=RTOL_MIN)
     if not roots:
         raise FitFailed("no limiting root f(E) = gamma in this gap")

@@ -314,6 +314,6 @@ class FlatBandEigenfunction:
 def flat_band_eigenfunction(n: int, params: ChainParams, samples: int = 257) -> FlatBandEigenfunction:
     """Explicit eigenfunction at E = n^2 on one or two adjacent rings."""
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InvalidParameter("n must be a positive integer")
     x = np.linspace(0.0, math.pi, samples)
     return FlatBandEigenfunction(n=n, params=params, x=x, single_ring=params.is_non_magnetic)

@@ -73,18 +73,19 @@ def draw_config(rng: np.random.Generator):
 
 def admissible_roots(params: ChainParams, gammas, layout) -> list:
     """Characteristic roots in gaps 0..2 that a finite chain can resolve."""
-    pattern = impurity_mod.PerturbationPattern(gammas)
+    return _low_gap_roots(params, gammas, layout)[1]
+
+
+def _low_gap_roots(params: ChainParams, gammas, layout) -> tuple[list, list]:
+    """Every root in gaps 0..2, in one pass, and (gap index, state, |lambda|) of the admissible."""
+    states = impurity_mod.solve_gaps(impurity_mod.PerturbationPattern(gammas), layout.gaps[:3], params)
     roots = []
-    for gi, gap in enumerate(layout.gaps[:3]):
-        for st in impurity_mod.solve_gap(pattern, gap, params, gap_index=gi):
-            lam = abs(lambda_small(st.E, params.alpha, params))
-            near_edge = min(
-                abs(st.E - gap[1]),
-                math.inf if math.isinf(gap[0]) else abs(st.E - gap[0]),
-            )
-            if lam <= LAMBDA_CAP and near_edge > 0.02:
-                roots.append((gi, st, lam))
-    return roots
+    for st in states:
+        lo, hi = layout.gaps[st.gap_index]
+        lam = abs(lambda_small(st.E, params.alpha, params))
+        if lam <= LAMBDA_CAP and min(hi - st.E, st.E - lo) > 0.02:   # lo may be -inf
+            roots.append((st.gap_index, st, lam))
+    return states, roots
 
 
 def _gap_window(gap, layout, E):
@@ -107,7 +108,7 @@ def run_cases(seed: int, n_cases: int) -> list[CaseResult]:
         params, gammas = draw_config(rng)
         try:
             layout = band_mod.band_edges(params, 12.0)
-            roots = admissible_roots(params, gammas, layout)
+            states, roots = _low_gap_roots(params, gammas, layout)
         except RingChainError:
             continue
         if not roots:
@@ -119,11 +120,7 @@ def run_cases(seed: int, n_cases: int) -> list[CaseResult]:
         n_rings = rings_for(lam_max, len(gammas))
         # every characteristic root of a checked gap, verified or not, may
         # explain an oracle state in its window
-        pattern = impurity_mod.PerturbationPattern(gammas)
-        all_char = {
-            gi: [s.E for s in impurity_mod.solve_gap(pattern, layout.gaps[gi], params, gap_index=gi)]
-            for gi in {gi for gi, _, _ in roots}
-        }
+        all_char = {gi: [s.E for s in states if s.gap_index == gi] for gi, _, _ in roots}
         for gi, st, lam in roots:
             window = _gap_window(layout.gaps[gi], layout, st.E)
             try:

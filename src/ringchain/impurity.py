@@ -10,6 +10,9 @@ impurity eigenvalues.  Specialized closed forms: one vertex reduces to
 f_single(E) = gamma_1, two vertices to the pair f_-/f_+ (depending only on
 gamma_1 + gamma_2 and (gamma_1 - gamma_2)^2), and identical arrays to a
 cot/tan pair in the Chebyshev angle of xi_1.
+
+solve_gaps solves all gap pieces of a pattern in one pass: one grid, one
+char_residual scan, one float residual prepared for the Brent polish.
 """
 
 from __future__ import annotations
@@ -71,12 +74,30 @@ def char_residual(E, pattern: PerturbationPattern, params: ChainParams):
     over an array, NaN inside bands and on flat bands.  xi is evaluated
     once per distinct coupling."""
     cs = kernels(E)
+    by_gamma = {g: xi(E, params.alpha + g, params, cs) for g in set(pattern.gammas)}
+    return _quadratic(E, params, cs, [by_gamma[g] for g in pattern.gammas])
+
+
+def _quadratic(E, params: ChainParams, cs, xis):
+    """The characteristic quadratic from the kernels cs and xi_1..xi_m in pattern order."""
     x = xi(E, params.alpha, params, cs)
     sgn, root = gap_surd(E, x)
     lam = sgn / (abs(x) + root)
-    by_gamma = {g: xi(E, params.alpha + g, params, cs) for g in set(pattern.gammas)}
-    P, Q, P_prev, Q_prev = pq_advance(PQ_SEED, [by_gamma[g] for g in pattern.gammas])
+    P, Q, P_prev, Q_prev = pq_advance(PQ_SEED, xis)
     return Q_prev * lam * lam - (P_prev + Q) * lam + P
+
+
+def pattern_residual(pattern: PerturbationPattern, params: ChainParams):
+    """char_residual on floats, prepared once per (pattern, params): one xi call over the distinct
+    couplings, reordered by an index; elementwise ops round as float ops do, so values match bit for bit."""
+    distinct, index = np.unique(np.array(pattern.gammas), return_inverse=True)
+    couplings = params.alpha + distinct
+
+    def residual(E: float) -> float:
+        cs = kernels(E)
+        return _quadratic(E, params, cs, xi(E, couplings, params, cs)[index].tolist())
+
+    return residual
 
 
 def gap0_scan_floor(pattern: PerturbationPattern, params: ChainParams) -> float:
@@ -90,50 +111,67 @@ def gap0_scan_floor(pattern: PerturbationPattern, params: ChainParams) -> float:
     return lo - 1e-6
 
 
+def _gap_grids(lo: np.ndarray, hi: np.ndarray, n_base: int) -> np.ndarray:
+    """Scan grids on the ascending, disjoint pieces (lo[i], hi[i]), geometrically refined
+    toward both edges and concatenated: n_base >= 2 points spaced as np.linspace spaces
+    them, bit for bit, and the edge offsets, all strictly inside their piece."""
+    lo, hi = lo[:, None], hi[:, None]
+    start, stop = lo + 1e-13 * np.maximum(1.0, np.abs(lo)), hi - 1e-13 * np.maximum(1.0, np.abs(hi))
+    delta, i = stop - start, np.arange(float(n_base))
+    step = delta / (n_base - 1)
+    line = np.where(step == 0.0, i / (n_base - 1) * delta, i * step) + start   # np.linspace's two cases
+    line[:, -1:] = stop
+    offsets = (hi - lo) * np.power(10.0, -np.arange(2.0, 12.5, 0.5))
+    pts = np.concatenate([line, lo + offsets, hi - offsets], axis=1)
+    return np.unique(pts[(pts > lo) & (pts < hi)])
+
+
 def _gap_grid(lo: float, hi: float, n_base: int) -> np.ndarray:
     """Scan grid on (lo, hi), geometrically refined toward both edges."""
-    width = hi - lo
-    offsets = width * np.power(10.0, -np.arange(2.0, 12.5, 0.5))
-    pts = np.concatenate(
-        [
-            np.linspace(lo + 1e-13 * max(1.0, abs(lo)), hi - 1e-13 * max(1.0, abs(hi)), n_base),
-            lo + offsets,
-            hi - offsets,
-        ]
-    )
-    pts = pts[(pts > lo) & (pts < hi)]
-    return np.unique(pts)
+    return _gap_grids(np.array([lo]), np.array([hi]), n_base)
 
 
-def gap_scan_grid(gap: tuple[float, float], pattern: PerturbationPattern, params: ChainParams,
-                  n_base: int) -> np.ndarray:
-    """Root-scan grid on a gap piece; gap 0 starts at the pattern's
-    certified floor, kept below the piece's upper edge."""
-    lo, hi = gap
-    if math.isinf(lo):
-        lo = min(gap0_scan_floor(pattern, params), hi - 1e-9)
-    return _gap_grid(lo, hi, n_base)
+def gap_scan_grids(gaps, pattern: PerturbationPattern, params: ChainParams, n_base: int):
+    """Root-scan grids of ascending gap pieces, concatenated, and where each piece's points
+    end; gap 0 starts at the pattern's certified floor, kept below the piece's upper edge."""
+    lo, hi = np.array(gaps, dtype=float).T
+    if np.any(lo[1:] < hi[:-1]):
+        raise InvalidParameter("gap pieces must be ascending and disjoint")
+    if math.isinf(lo[0]):
+        lo[0] = min(gap0_scan_floor(pattern, params), hi[0] - 1e-9)
+    grid = _gap_grids(lo, hi, n_base)
+    return grid, np.searchsorted(grid, hi).tolist()
 
 
-def solve_gap(
-    pattern: PerturbationPattern,
-    gap: tuple[float, float],
-    params: ChainParams,
-    gap_index: int = 0,
-    tol_root: float = 1e-13,
-    grid_points: int = GRID_POINTS,
-    edge_margin: float = EDGE_DISCARD,
-) -> list[ImpurityState]:
-    """All characteristic-equation roots strictly inside one gap piece.
+def solve_gaps(pattern: PerturbationPattern, gaps: Sequence[tuple[float, float]], params: ChainParams,
+               gap_index: int = 0, tol_root: float = 1e-13, grid_points: int = GRID_POINTS,
+               edge_margin: float = EDGE_DISCARD) -> list[ImpurityState]:
+    """All characteristic-equation roots strictly inside each of the ascending, disjoint
+    gap pieces, numbered from gap_index on: one build of all the pieces' grids, one
+    char_residual scan over them, cut back into pieces so that no bracket crosses a
+    piece boundary, and Brent's method on pattern_residual for each bracket.  Roots
+    within edge_margin of a gap edge are discarded; grid points spilling past a stored
+    gap edge (band-edge root tolerance) into the band scan as NaN."""
+    if not gaps:
+        return []
+    grid, ends = gap_scan_grids(gaps, pattern, params, grid_points)
+    residual = pattern_residual(pattern, params)
+    states: list[ImpurityState] = []
+    # numpy overflows to inf and NaN silently here, as float arithmetic does
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = char_residual(grid, pattern, params)
+        for i, (gap, a, b) in enumerate(zip(gaps, [0, *ends[:-1]], ends)):
+            pts, scan = grid[a:b], vals[a:b]
+            roots = find_roots(lambda E: scan if E is pts else residual(E), pts, tol_root)
+            states += interior_states(roots, gap, gap_index + i, residual, edge_margin)
+    return states
 
-    Sign-scans char_residual on an edge-refined grid and bisects each
-    bracket; roots within edge_margin of a gap edge are discarded.  Stored
-    gap edges carry the band-edge root tolerance, so grid points hugging
-    an edge can spill into the band; the scan masks those as NaN.
-    """
-    roots = find_roots(lambda E: char_residual(E, pattern, params), gap_scan_grid(gap, pattern, params, grid_points),
-                       tol_root)
-    return interior_states(roots, gap, gap_index, lambda E: char_residual(E, pattern, params), edge_margin)
+
+def solve_gap(pattern: PerturbationPattern, gap: tuple[float, float], params: ChainParams,
+              gap_index: int = 0, tol_root: float = 1e-13, grid_points: int = GRID_POINTS,
+              edge_margin: float = EDGE_DISCARD) -> list[ImpurityState]:
+    """All characteristic-equation roots strictly inside one gap piece (see solve_gaps)."""
+    return solve_gaps(pattern, [gap], params, gap_index, tol_root, grid_points, edge_margin)
 
 
 def interior_states(roots, gap, gap_index: int, residual, edge_margin: float = EDGE_DISCARD) -> list[ImpurityState]:
@@ -175,7 +213,7 @@ def identical_conditions(E: float, gamma: float, m: int, params: ChainParams) ->
     interior poles of cot/tan (at most m-2 per gap) surface as +-inf.
     """
     if m < 2:
-        raise ValueError("identical-array conditions need m >= 2")
+        raise InvalidParameter("identical-array conditions need m >= 2")
     if on_flat_band(E):
         raise FlatBandPole(f"conditions undefined at E = {E}")
     x1 = xi(E, params.alpha + gamma, params)
@@ -202,10 +240,8 @@ def count_states_per_gap(
     params: ChainParams,
 ) -> list[int]:
     """Number of bound states in each gap piece of the layout."""
-    return [
-        len(solve_gap(pattern, gap, params, gap_index=i))
-        for i, gap in enumerate(layout.gaps)
-    ]
+    found = [s.gap_index for s in solve_gaps(pattern, layout.gaps, params)]
+    return [found.count(i) for i in range(len(layout.gaps))]
 
 
 def all_states(
@@ -213,10 +249,7 @@ def all_states(
     layout: band_mod.SpectrumLayout,
     params: ChainParams,
 ) -> list[ImpurityState]:
-    states: list[ImpurityState] = []
-    for i, gap in enumerate(layout.gaps):
-        states.extend(solve_gap(pattern, gap, params, gap_index=i))
-    return states
+    return solve_gaps(pattern, layout.gaps, params)
 
 
 def results_json_dict(

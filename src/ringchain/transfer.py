@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ChainParams, kernels, lambda_pair, lambda_small, on_flat_band, xi
-from .errors import FlatBandPole
+from .errors import FlatBandPole, InvalidParameter
 
 
 # (P_0, Q_0, P_{-1}, Q_{-1}): the first advance gives P_1 = 2*xi_1, Q_1 = 1
@@ -56,7 +56,7 @@ def local_matrix(E: float, gamma: float, params: ChainParams) -> np.ndarray:
 def product_matrix(E: float, gammas: Sequence[float], params: ChainParams) -> np.ndarray:
     """Ordered product N_m ... N_1 via the P/Q recursion."""
     if len(gammas) < 1:
-        raise ValueError("need at least one vertex in the pattern")
+        raise InvalidParameter("need at least one vertex in the pattern")
     P, Q, P_prev, Q_prev = pq_advance(PQ_SEED, [xi(E, params.alpha + g, params) for g in gammas])
     return np.array([[P, -Q], [P_prev, -Q_prev]])
 
@@ -93,7 +93,7 @@ def identical_closed_form(E: float, gamma: float, m: int, params: ChainParams) -
     the trigonometric (|xi_1| <= 1) and hyperbolic branches are covered.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidParameter("m must be >= 1")
     x1 = xi(E, params.alpha + gamma, params)
     return np.array([
         [chebyshev_u(m, x1), -chebyshev_u(m - 1, x1)],

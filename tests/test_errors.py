@@ -1,0 +1,37 @@
+"""Input checks raise the typed InvalidParameter, which is a ValueError."""
+
+import pytest
+
+from ringchain import (
+    ChainParams,
+    DistantPair,
+    band_edges,
+    flat_band_eigenfunction,
+    identical_closed_form,
+    identical_conditions,
+    product_matrix,
+    splitting_rate,
+)
+from ringchain.errors import InvalidParameter
+
+P = ChainParams.from_cos_flux(0.7, 1.0)
+
+SITES = {
+    "splitting_rate-unequal-strengths": lambda: splitting_rate(
+        DistantPair(-1.5, -1.0, 4), band_edges(P, 25.0).gaps[0], P, [4, 6, 8, 10]
+    ),
+    "flat_band_eigenfunction-n0": lambda: flat_band_eigenfunction(0, P),
+    "identical_conditions-m1": lambda: identical_conditions(0.05, 1.0, 1, P),
+    "product_matrix-empty": lambda: product_matrix(0.1, [], P),
+    "identical_closed_form-m0": lambda: identical_closed_form(0.1, -0.6, 0, P),
+}
+
+
+def test_invalid_parameter_is_a_value_error():
+    assert issubclass(InvalidParameter, ValueError)
+
+
+@pytest.mark.parametrize("call", SITES.values(), ids=SITES.keys())
+def test_input_check_raises_invalid_parameter(call):
+    with pytest.raises(InvalidParameter):
+        call()
