@@ -27,6 +27,8 @@ K_REFINE_WINDOW = 1.0 / 16.0
 K_REFINE_STEP = 1.0 / 1024.0
 # largest cutoff accepted: the scan grid holds about 184*sqrt(cutoff) points
 MAX_CUTOFF = 1e6
+# largest kappa*pi whose exponential, and so cosh and sinh, is a finite float
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 REGIME_MAGNETIC = "magnetic"
 REGIME_NON_MAGNETIC = "non_magnetic"
@@ -90,9 +92,15 @@ def negative_scan_floor(params: ChainParams) -> float:
 
     For kappa >= max(1, |alpha|/2) one has
     |xi| >= cosh(kappa*pi) * (1 - |alpha|/(4*kappa)) / |cos A*pi| > 1,
-    and the bound is increasing in kappa.
+    and the bound is increasing in kappa.  Raises InvalidParameter where
+    cosh(kappa*pi) overflows a float at that kappa, for |alpha| above
+    2 ln(DBL_MAX)/pi = 451.86: no scan can evaluate xi down to it.
     """
-    return max(1.0, 0.5 * abs(params.alpha))
+    kappa = max(1.0, 0.5 * abs(params.alpha))
+    if kappa * math.pi > _LOG_FLOAT_MAX:
+        raise InvalidParameter(f"coupling {params.alpha} out of range: cosh(|coupling|*pi/2) overflows "
+                               f"a float above |coupling| = {2.0 * _LOG_FLOAT_MAX / math.pi:.6g}")
+    return kappa
 
 
 def _scan_grid(params: ChainParams, cutoff: float, kappa_floor: float) -> np.ndarray:
@@ -116,7 +124,8 @@ def _scan_grid(params: ChainParams, cutoff: float, kappa_floor: float) -> np.nda
 
 def _edge_roots(params: ChainParams, grid: np.ndarray) -> list[float]:
     """All roots of xi(E) = +-1 bracketed by sign changes on the grid."""
-    scan = xi_background(grid, params)   # one scan serves both targets
+    with np.errstate(over="ignore"):   # xi is +-inf far below band 0 when cos(A*pi) is small
+        scan = xi_background(grid, params)   # one scan serves both targets
     roots: list[float] = []
     for target in (1.0, -1.0):
         roots += find_roots(lambda E: (scan if E is grid else xi_background(E, params)) - target, grid, TOL_ROOT)
@@ -132,8 +141,9 @@ def band_edges(params: ChainParams, cutoff: float) -> SpectrumLayout:
     """Locate all band edges below cutoff and assemble the layout.
 
     Raises InvalidParameter for a non-finite cutoff or one above
-    MAX_CUTOFF, HalfIntegerFlux in the pure-point regime and
-    CutoffTooSmall if no band intersects (-inf, cutoff].
+    MAX_CUTOFF and where negative_scan_floor does, HalfIntegerFlux in the
+    pure-point regime and CutoffTooSmall if no band intersects
+    (-inf, cutoff].
     """
     _check_cutoff(cutoff)
     if params.is_half_integer_flux:
@@ -148,36 +158,21 @@ def band_edges(params: ChainParams, cutoff: float) -> SpectrumLayout:
     if not edges:
         raise CutoffTooSmall(f"no spectral band found below cutoff {cutoff}")
 
-    # classify the intervals between consecutive edges by a midpoint probe
+    # classify the intervals between consecutive edges by a midpoint probe;
+    # the bands are what the gaps leave, down to a point where two gaps meet
+    # across a band narrower than TOL_ROOT (band 0 below alpha ~ -38)
     bounds = [floor_E] + edges + [cutoff]
-    bands: list[tuple[float, float]] = []
-    gaps: list[tuple[float, float]] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo <= TOL_ROOT:
-            continue
-        mid = 0.5 * (lo + hi)
-        if abs(xi_background(mid, params)) <= 1.0:
-            bands.append((lo, hi))
-        else:
-            gaps.append((lo, hi))
+    spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi - lo > TOL_ROOT]
+    gaps = [(lo, hi) for lo, hi in spans if abs(xi_background(0.5 * (lo + hi), params)) > 1.0]
+    if not gaps or gaps[0][0] != floor_E:   # cannot happen: the floor is certified gap territory
+        raise CutoffTooSmall("scan floor landed inside a band")
+    top = spans[-1][1]   # the cutoff, or an edge less than TOL_ROOT below it
+    bands = list(zip([hi for _, hi in gaps], [lo for lo, _ in gaps[1:]] + [top]))
+    if gaps[-1][1] == top:   # the last gap reaches the top
+        bands.pop()
     if not bands:
         raise CutoffTooSmall(f"no spectral band found below cutoff {cutoff}")
-
-    # merge bands touching at a point (xi grazes +-1 there; not a gap)
-    merged: list[tuple[float, float]] = [bands[0]]
-    for lo, hi in bands[1:]:
-        if lo - merged[-1][1] <= TOL_ROOT:
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    bands = merged
-
-    # the certified floor extends to -inf
-    if gaps and gaps[0][0] == floor_E:
-        gaps[0] = (-math.inf, gaps[0][1])
-    elif bands[0][0] == floor_E:
-        # cannot happen: floor is certified gap territory
-        raise CutoffTooSmall("scan floor landed inside a band")
+    gaps[0] = (-math.inf, gaps[0][1])   # the certified floor extends to -inf
 
     flats = flat_band_energies(params, cutoff)
 
@@ -210,18 +205,17 @@ def half_integer_layout(params: ChainParams, cutoff: float) -> SpectrumLayout:
 
 
 def first_band(params: ChainParams) -> tuple[float, float]:
-    """Edges of the lowest spectral band only (fast path for sweeps)."""
+    """Edges of the lowest spectral band only (fast path for sweeps): the
+    first two edges of the scan below E = 1.5, band_edges' bands[0].
+
+    Raises HalfIntegerFlux in the pure-point regime and InvalidParameter
+    where negative_scan_floor does.
+    """
     if params.is_half_integer_flux:
         raise HalfIntegerFlux("band structure undefined at half-integer flux")
-    kappa_floor = negative_scan_floor(params)
-    cutoff = 1.5
-    while cutoff <= 130.0:
-        grid = _scan_grid(params, cutoff, kappa_floor)
-        edges = _edge_roots(params, grid)
-        if len(edges) >= 2:
-            return edges[0], edges[1]
-        cutoff *= 4.0
-    raise CutoffTooSmall("first band not found below E = 130")
+    # xi runs from sgn(cos A*pi)*inf at E -> -inf to -1/cos(A*pi) at E = 1: band 0 lies below E = 1
+    edges = _edge_roots(params, _scan_grid(params, 1.5, negative_scan_floor(params)))
+    return edges[0], edges[1]
 
 
 def flat_band_energies(params: ChainParams, cutoff: float) -> list[float]:

@@ -165,19 +165,11 @@ def cmd_impurity(args) -> int:
     layout = band.band_edges(params, _cutoff(args))
 
     if args.curve:
-        if preset_pattern is not None:
-            g1, g2 = preset_pattern
-            two = True
-        elif args.gamma is not None:
-            gs = _parse_floats(args.gamma)
-            if len(gs) == 1:
-                two = False
-            elif len(gs) == 2:
-                (g1, g2), two = gs, True
-            else:
-                raise ConfigError("--curve supports one or two gammas")
-        else:
-            two = False
+        # no strength (a bare --curve) or one gives f, two give f_minus and f_plus
+        gammas = list(preset_pattern or ()) if args.gamma is None else _parse_floats(args.gamma)
+        if args.gamma is not None and len(gammas) not in (1, 2):
+            raise ConfigError("--curve supports one or two gammas")
+        two = len(gammas) == 2
         rows = []
         for gi, (lo, hi) in enumerate(layout.gaps):
             if math.isinf(lo):
@@ -186,7 +178,7 @@ def cmd_impurity(args) -> int:
             for E in grid:
                 try:
                     if two:
-                        fm, fp = impurity.f_pm(float(E), g1, g2, params)
+                        fm, fp = impurity.f_pm(float(E), *gammas, params)
                         rows.append((gi, float(E), fm, fp))
                     else:
                         rows.append((gi, float(E), f_single(float(E), params)))

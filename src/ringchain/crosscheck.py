@@ -128,17 +128,15 @@ def run_cases(seed: int, n_cases: int) -> list[CaseResult]:
                     params, gammas, M_LEVELS, n_rings, window, reference=st.E
                 )
             except SolverNoConvergence:
-                results.append(
-                    CaseResult(case, params.cos_flux, params.alpha, gammas, gi,
-                               st.E, math.nan, math.nan, math.inf, math.inf,
-                               n_rings, False)
+                raw = rich = math.nan
+                err_raw = err_rich = math.inf
+                spurious_ok = False
+            else:
+                raw, rich = study.rows[-1].E_oracle, study.richardson
+                err_raw, err_rich = abs(raw - st.E), abs(rich - st.E)
+                spurious_ok = _check_spurious(
+                    params, gammas, n_rings, max(M_LEVELS), window, all_char[gi], TOL_RAW
                 )
-                continue
-            raw = study.rows[-1].E_oracle
-            rich = study.richardson
-            spurious_ok = _check_spurious(
-                params, gammas, n_rings, max(M_LEVELS), window, all_char[gi], TOL_RAW
-            )
             results.append(
                 CaseResult(
                     index=case,
@@ -149,8 +147,8 @@ def run_cases(seed: int, n_cases: int) -> list[CaseResult]:
                     E_char=st.E,
                     E_raw=raw,
                     E_rich=rich,
-                    err_raw=abs(raw - st.E),
-                    err_rich=abs(rich - st.E),
+                    err_raw=err_raw,
+                    err_rich=err_rich,
                     n_rings=n_rings,
                     spurious_ok=spurious_ok,
                 )

@@ -105,7 +105,8 @@ def gap0_scan_floor(pattern: PerturbationPattern, params: ChainParams) -> float:
 
     Lowering every vertex coupling to alpha + min(0, min gamma_j) only
     lowers the quadratic form, so no perturbed eigenvalue can lie below
-    the first band of that uniform chain.
+    the first band of that uniform chain.  Raises InvalidParameter where
+    band.negative_scan_floor does for that lowered coupling.
     """
     lo, _ = band_mod.first_band(params.with_alpha(params.alpha + min(0.0, min(pattern.gammas))))
     return lo - 1e-6

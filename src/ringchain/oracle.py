@@ -22,7 +22,8 @@ other pencil can reach the count.
 
 Work is done once: `assemble` shares operators over a small LRU of
 (chain, pattern) pairs, each keeping every window it has solved.  The
-read-only bands are the pencil's only copy; ARPACK applies K and M from them.
+read-only bands are the pencil's only copy; ARPACK applies M from them and
+the shift-invert operator through their band LU.
 
 Nothing here touches the dispersion function, Floquet multipliers, the
 quasi-polynomial recursion, or the coupling functions: spectra computed
@@ -258,19 +259,19 @@ def _band_lu(op: DiscreteOperator, sigma: float):
     return lu, piv
 
 
-def _band_operator(d, o1, o2) -> spla.LinearOperator:
-    """K or M as ARPACK applies it: d on the diagonal, o1 and o2 above, their conjugates below."""
-    bands = [(k, o, o.conj()) for k, o in ((1, o1), (2, o2))]
+def _mass_operator(op: DiscreteOperator) -> spla.LinearOperator:
+    """M as ARPACK applies it: md on the diagonal, m1 and m2 above, their conjugates below."""
+    bands = [(k, o, o.conj()) for k, o in ((1, op.m1), (2, op.m2))]
 
     def matvec(x):
         x = x.ravel()
-        y = np.multiply(d, x, dtype=complex)
+        y = np.multiply(op.md, x, dtype=complex)
         for k, above, below in bands:
             y[:-k] += above * x[k:]
             y[k:] += below * x[:-k]
         return y
 
-    return spla.LinearOperator((len(d), len(d)), matvec=matvec, dtype=complex)
+    return spla.LinearOperator((op.dim, op.dim), matvec=matvec, dtype=complex)
 
 
 def _slices(op, v0, lo, n_lo, hi, n_hi):
@@ -286,9 +287,11 @@ def _slices(op, v0, lo, n_lo, hi, n_hi):
         # alive until the cyclic collector runs
         lu, piv = _band_lu(op, center)
         OPinv = spla.LinearOperator((dim, dim), matvec=lambda x: zgbtrs(lu, 2, 2, x, piv)[0], dtype=complex)
-        K, M = _band_operator(op.kd, op.k1, op.k2), _band_operator(op.md, op.m1, op.m2)
+        M = _mass_operator(op)
         try:
-            vals, vecs = spla.eigsh(K, k=count, M=M, sigma=center, which="LM", tol=ARPACK_TOL, v0=v0,
+            # shift-invert through OPinv never applies K, and reads only the
+            # shape and dtype of the matrix argument, which M stands in for
+            vals, vecs = spla.eigsh(M, k=count, M=M, sigma=center, which="LM", tol=ARPACK_TOL, v0=v0,
                                     ncv=min(2 * count + 1, dim), OPinv=OPinv)
         except spla.ArpackNoConvergence:
             pass

@@ -24,6 +24,15 @@ from ringchain.band import MAX_CUTOFF, REGIME_HALF_INTEGER, REGIME_MAGNETIC, REG
 from ringchain.errors import InvalidParameter
 
 
+def _assert_gaps_meet_only_on_the_spectrum(layout):
+    """Two gaps meet only at a flat band or across a band, of zero width
+    where it is narrower than the root tolerance."""
+    flats = {fb.E for fb in layout.flat_bands}
+    for (_, end), (start, _) in zip(layout.gaps, layout.gaps[1:]):
+        if not (end == start and end in flats):
+            assert any(end <= lo <= hi <= start for lo, hi in layout.bands), (end, start, layout.bands)
+
+
 class TestInSpectrum:
     def test_free_chain_positive_energy(self):
         assert in_spectrum(0.5, ChainParams(0.0, 0.0))
@@ -110,12 +119,18 @@ class TestBandEdges:
         layout = band_edges(ChainParams(0.0, -3.0), 9.0)
         assert layout.bands[0][1] < 0.0  # alpha < -8/pi pushes the band negative
 
-    def test_first_band_negative_for_deep_alpha(self):
-        p = ChainParams.from_cos_flux(0.7, -10.0)
+    @pytest.mark.parametrize("cos_flux", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("alpha", [-10.0, -38.0, -40.0, -100.0])
+    def test_first_band_negative_for_deep_alpha(self, cos_flux, alpha):
+        # from alpha ~ -38 on, band 0 sits at -alpha^2/16 and is narrower
+        # than TOL_ROOT; band_edges used to drop it and list band 1 first
+        p = ChainParams.from_cos_flux(cos_flux, alpha)
         layout = band_edges(p, 5.0)
         lo, hi = layout.bands[0]
-        assert hi < 0.0
+        assert hi < 0.0 and lo == pytest.approx(-alpha * alpha / 16.0, rel=2e-3)
         assert first_band(p) == pytest.approx((lo, hi), abs=1e-9)
+        assert len(layout.bands) == 3   # band 0 and the bands above 1 and 4
+        _assert_gaps_meet_only_on_the_spectrum(layout)
 
     def test_membership_consistency(self, params07, rng):
         layout = band_edges(params07, 25.0)
@@ -155,6 +170,12 @@ class TestBandEdges:
         assert lo == pytest.approx(29.9132, abs=1e-4) and hi == 30.0
         assert layout.gaps[-1] == (25.0, lo)
 
+    def test_an_edge_just_below_the_cutoff_ends_its_band(self):
+        # the gap sliver between the edge at 49 and the cutoff is narrower
+        # than TOL_ROOT, and no piece claims it
+        layout = band_edges(ChainParams(0.0, 2.0), 49.0 + 5e-11)
+        assert layout.bands[-1][1] == 49.0 and layout.gaps[-1][1] < 49.0
+
     def test_every_piece_classified_by_xi_below_non_square_cutoffs(self, rng):
         # magnetic chains, so every gap is wide; the piece ending at the
         # cutoff is also classified at the cutoff itself
@@ -163,6 +184,7 @@ class TestBandEdges:
             p = ChainParams.from_cos_flux(cos_flux, rng.uniform(-3.0, 3.0))
             cutoff = rng.uniform(5.0, 400.0)
             layout = band_edges(p, cutoff)
+            _assert_gaps_meet_only_on_the_spectrum(layout)
             pieces = [(b, True) for b in layout.bands] + [(g, False) for g in layout.gaps if math.isfinite(g[0])]
             for (lo, hi), is_band in pieces:
                 for E in [0.5 * (lo + hi)] + ([hi] if hi == cutoff else []):

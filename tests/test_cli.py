@@ -3,7 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -154,6 +156,37 @@ class TestExitCodes:
     def test_non_finite_cutoff_is_a_configuration_error(self, argv, cutoff, capsys):
         assert main(argv + [f"--cutoff={cutoff}"]) == 2
         assert capsys.readouterr().err.startswith("error: cutoff must be finite and at most 1e+06")
+
+    @pytest.mark.parametrize("gamma", ["", "1,2,3"])
+    def test_curve_takes_one_or_two_gammas(self, gamma, capsys):
+        assert main(VALID["impurity --curve"] + [f"--gamma={gamma}"]) == 2
+        assert capsys.readouterr().err == "error: --curve supports one or two gammas\n"
+
+    def test_curve_of_one_gamma_is_the_bare_curve(self, tmp_path):
+        # the single-impurity coupling function does not depend on gamma
+        (rc1, out1), (rc2, out2) = (run(tmp_path, *VALID["impurity --curve"], *extra, name=name)
+                                    for extra, name in (((), "bare"), (("--gamma", "-2"), "one")))
+        assert rc1 == rc2 == 0 and out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("cos_flux, alpha, code", [
+        ("0.7", 451, 0), ("0.7", -451, 0), ("0.05", 451, 0), ("0.05", -451, 0),
+        ("0.7", 453, 2), ("0.7", -453, 2), ("0.7", 1000, 2), ("0.7", -1000, 2),
+    ])
+    def test_large_alpha_is_a_layout_or_a_configuration_error(self, cos_flux, alpha, code):
+        # cosh(|alpha|*pi/2) overflows a float at the scan floor past
+        # |alpha| = 451.86: numpy warnings reached stderr from 452 on (from
+        # 451 at small cos(A*pi)), and from 905 on a traceback with exit 1
+        path = [str(Path(__file__).parents[1] / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-m", "ringchain.cli", "bands", "--cosA", cos_flux, f"--alpha={alpha}"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == "" and json.loads(proc.stdout)["bands"]
+        else:
+            assert proc.stderr.startswith(f"error: coupling {float(alpha)} out of range"), proc.stderr
+            assert "above |coupling| = 451.862" in proc.stderr
+            assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     def test_bad_gap_index(self, capsys):
         argv = ["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", "1e-3", "--gap", "99"]

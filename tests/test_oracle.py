@@ -194,25 +194,42 @@ class TestAssemblyBitIdentity:
 
 
 class TestBandProducts:
-    """What ARPACK is given: K and M applied from the operator's bands,
-    against the pencil of the per-link reference loop.  The reference is
-    a CSC matrix, since a dense one at the benchmark chain's dim 12,774
+    """What ARPACK is given: M applied from the operator's bands, against
+    the mass matrix of the per-link reference loop.  The reference is a
+    CSC matrix, since a dense one at the benchmark chain's dim 12,774
     would take 2.6 GB."""
 
     @pytest.mark.parametrize("rings, M, gammas", [(25, 256, (-1.5, 0.75, -2.0)), (1, 64, ())],
                              ids=["benchmark", "one-ring"])
     def test_band_products_match_the_reference_pencil(self, p06, rings, M, gammas):
-        from ringchain.oracle import _band_operator
+        from ringchain.oracle import _mass_operator
 
         chain = TruncatedChain(rings, M, p06)
         op, ref = assemble(chain, gammas), _assemble_reference(chain, gammas)
         rng = np.random.default_rng([rings, M])
-        for bands in (("kd", "k1", "k2"), ("md", "m1", "m2")):
-            got, want = _band_operator(*(getattr(op, b) for b in bands)), _csc(*(ref[b] for b in bands))
-            for _ in range(3):
-                x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-                y = want @ x
-                assert np.linalg.norm(got @ x - y) <= 1e-14 * np.linalg.norm(y), bands
+        got, want = _mass_operator(op), _csc(ref["md"], ref["m1"], ref["m2"])
+        for _ in range(3):
+            x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+            y = want @ x
+            assert np.linalg.norm(got @ x - y) <= 1e-14 * np.linalg.norm(y)
+
+    def test_eigsh_reads_only_the_shape_of_its_matrix(self, p06, monkeypatch):
+        # shift-invert through OPinv never applies eigsh's first argument,
+        # which M stands in for: with one whose matvec raises, a window of
+        # the benchmark pencil (its two gap-0 states) solves bit for bit
+        import scipy.sparse.linalg as spla
+
+        def refuse(x):
+            raise AssertionError("eigsh applied its matrix argument")
+
+        eigsh = spla.eigsh
+        op = DiscreteOperator(TruncatedChain(25, 256, p06), (-1.5, 0.75, -2.0))
+        want = spectrum_window(op, -3.0, 0.2)
+        monkeypatch.setattr(spla, "eigsh", lambda A, *args, **kwargs: eigsh(
+            spla.LinearOperator(A.shape, matvec=refuse, dtype=A.dtype), *args, **kwargs))
+        got = spectrum_window(dataclasses.replace(op), -3.0, 0.2)
+        assert len(want[0]) == 2
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def _dense_spectrum(op):
@@ -649,3 +666,20 @@ class TestCrossCheck:
         assert others and all(s.E_char not in others for s in results)
         assert r.spurious_ok and r.matched
         assert all(s.matched for s in results)
+
+    def test_no_convergence_gives_an_unmatched_record(self, monkeypatch):
+        # a root whose study fails still gets its record: NaN energies,
+        # infinite errors and no spurious-state check
+        from ringchain import crosscheck
+
+        def fail(*args, **kwargs):
+            raise SolverNoConvergence("no convergence")
+
+        monkeypatch.setattr(crosscheck.oracle_mod, "convergence_study", fail)
+        monkeypatch.setattr(crosscheck, "_check_spurious", None)
+        results = crosscheck.run_cases(7, 1)
+        assert results and all(r.index == 1 for r in results)
+        for r in results:
+            assert math.isnan(r.E_raw) and math.isnan(r.E_rich)
+            assert r.err_raw == r.err_rich == math.inf
+            assert not r.spurious_ok and not r.matched
