@@ -11,6 +11,7 @@ exponential rate ln|lambda| per unit separation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,10 @@ class DistantPair:
     n: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise InvalidParameter("separation count n must be an integer") from None
         if self.n < 0:
             raise InvalidParameter("separation count n must be >= 0")
         if not (math.isfinite(self.gamma1) and math.isfinite(self.gamma2)):

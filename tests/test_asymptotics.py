@@ -170,6 +170,12 @@ class TestDistantPairs:
             DistantPair(1.0, 0.0, 3)
         with pytest.raises(ValueError):
             DistantPair(1.0, 1.0, -1)
+        # no chain has a fractional separation; 2.5 used to solve, nan to
+        # return no states, and 2.0 to fail only in pattern()
+        for bad in (2.5, math.nan, 2.0):
+            with pytest.raises(ValueError, match="integer"):
+                DistantPair(-1.5, -1.5, bad)
+        assert DistantPair(-1.5, -1.5, np.int64(3)).pattern().gammas == (-1.5, 0.0, 0.0, 0.0, -1.5)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 DistantPair(bad, -1.0, 3)

@@ -33,6 +33,61 @@ def _assert_gaps_meet_only_on_the_spectrum(layout):
             assert any(end <= lo <= hi <= start for lo, hi in layout.bands), (end, start, layout.bands)
 
 
+def _scan_grid_reference(cutoff, kappa_floor):
+    """The scan grid as built before it became one array expression, one
+    np.arange per integer k; _scan_grid must equal it bit for bit."""
+    K_STEP, K_REFINE_WINDOW, K_REFINE_STEP = band.K_STEP, band.K_REFINE_WINDOW, band.K_REFINE_STEP
+    kappas = np.arange(K_STEP, kappa_floor + K_STEP, K_STEP)
+    energies = [-(kappas[::-1] ** 2), np.array([0.0, cutoff])]
+    if cutoff > 0:
+        kmax = math.sqrt(cutoff)
+        ks = [np.arange(K_STEP, kmax + K_STEP, K_STEP)]
+        for n in range(1, int(kmax) + 2):
+            lo = max(n - K_REFINE_WINDOW, K_REFINE_STEP)
+            ks.append(np.arange(lo, min(n + K_REFINE_WINDOW, kmax + K_REFINE_STEP), K_REFINE_STEP))
+        k = np.unique(np.concatenate(ks))
+        k = k[k <= kmax + K_STEP]
+        energies.append(k**2)
+    grid = np.unique(np.concatenate(energies))
+    return grid[grid <= cutoff]
+
+
+def _assert_scan_grid_matches_reference(params, cutoff):
+    grid = band._scan_grid(params, cutoff)
+    ref = _scan_grid_reference(cutoff, band.negative_scan_floor(params))
+    assert grid.tobytes() == ref.tobytes(), (params.alpha, cutoff)
+
+
+# every square up to 200^2 with its float neighbours and its neighbours
+# at a relative 1e-15, where the refinement window of the last k is cut
+_SQUARE_CUTOFFS = [
+    c for n in range(1, 201) for s in [float(n * n)]
+    for c in (s, math.nextafter(s, 0.0), math.nextafter(s, math.inf), s * (1 - 1e-15), s * (1 + 1e-15))
+]
+
+
+class TestScanGrid:
+    @pytest.mark.parametrize("floor", [1.0, 1.3, 2.7, 20.0])
+    @pytest.mark.parametrize("cutoff", [0.0, 1e-9, 0.3, 1.5, 1e6])
+    def test_matches_the_loop_construction(self, floor, cutoff):
+        # the floor is max(1, |alpha|/2); the grid's first point is the
+        # kappa step that reaches it
+        p = ChainParams.from_cos_flux(0.7, 2.0 * floor)
+        _assert_scan_grid_matches_reference(p, cutoff)
+        assert band._scan_grid(p, cutoff)[0] <= -(floor**2)
+
+    @pytest.mark.parametrize("floor", [1.0, 1.3, 2.7, 20.0])
+    def test_matches_the_loop_construction_at_squares(self, floor):
+        p = ChainParams.from_cos_flux(0.7, 2.0 * floor)
+        for cutoff in _SQUARE_CUTOFFS:
+            _assert_scan_grid_matches_reference(p, cutoff)
+
+    def test_matches_the_loop_construction_at_random(self, rng):
+        for _ in range(300):
+            p = ChainParams.from_cos_flux(0.7, rng.uniform(-451.8, 451.8))
+            _assert_scan_grid_matches_reference(p, float(10.0 ** rng.uniform(-3.0, 5.0)))
+
+
 class TestInSpectrum:
     def test_free_chain_positive_energy(self):
         assert in_spectrum(0.5, ChainParams(0.0, 0.0))
@@ -243,6 +298,18 @@ class TestFlatBands:
         p = ChainParams(0.5, 4.0)
         flats = flat_band_energies(p, 1.0)
         assert flats[0] == pytest.approx(expected, abs=1e-9)
+
+    def test_half_flux_roots_keep_clear_of_the_squares(self, rng):
+        # flat_band_energies merges the two series by sorting alone: near
+        # n^2 a root lies about 8 n^2/(pi |alpha|) away, 5.6e-3 at E = 1
+        # for the largest coupling the scan floor admits
+        squares = [float(n * n) for n in range(1, 21)]
+        for alpha in [-451.8, 451.8, -1e-3, 1e-3, *rng.uniform(-451.8, 451.8, 60)]:
+            for cutoff in (30.0, 400.0):
+                flats = flat_band_energies(ChainParams(0.5, alpha), cutoff)
+                roots = [E for E in flats if E not in squares]
+                assert len(flats) == len(roots) + int(math.sqrt(cutoff)) == len(set(flats))
+                assert min(abs(E - s) for E in roots for s in squares) > 1e-3, alpha
 
     def test_half_integer_includes_integer_series(self):
         p = ChainParams(0.5, 4.0)
