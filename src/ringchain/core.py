@@ -35,6 +35,13 @@ The polish is brentq, Brent's method (R. P. Brent, Algorithms for
 Minimization without Derivatives, Prentice-Hall 1973, ch. 4) as scipy's
 optimize.brentq runs it, ported step for step onto Python floats so that
 the analytic modules need numpy only and keep every bit of scipy's roots.
+The loop is written once, as the generator brent_lane, which yields each
+abscissa and is sent F there; brentq drives one lane with F.  Where one
+evaluation of F is costly, many brackets are polished in lockstep
+instead: lockstep evaluates every pending lane's next abscissa in one call.
+That call may evaluate F as an array, and keep every bit, if it takes
+the kernels from math on each float: the rest of a spectral formula is
+IEEE arithmetic, which numpy rounds as Python does.
 """
 
 from __future__ import annotations
@@ -268,10 +275,19 @@ def find_roots(F, grid: np.ndarray, xtol: float, rtol: float = RTOL_ROOT) -> lis
     # far below the first band); inf and NaN there never bracket a root
     with np.errstate(over="ignore", invalid="ignore"):
         vals = F(grid)
-        brackets = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-    roots = [brentq(F, float(grid[i]), float(grid[i + 1]), xtol, rtol) for i in brackets]
-    roots.extend(float(E) for E in grid[vals == 0.0])
+    changes, zeros = scan_roots(vals)
+    roots = [brentq(F, float(grid[i]), float(grid[i + 1]), xtol, rtol) for i in changes]
+    roots.extend(float(grid[i]) for i in zeros)
     return sorted(roots)
+
+
+def scan_roots(vals: np.ndarray) -> tuple[list[int], list[int]]:
+    """Where a scan of F shows roots: the indices i with a strict sign
+    change between vals[i] and vals[i + 1], each a bracket to polish, and
+    those with vals[i] exactly 0, each a root.  inf and NaN bracket none."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        changes = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    return changes.tolist(), np.flatnonzero(vals == 0.0).tolist()
 
 
 def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -284,11 +300,24 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     f is called on floats only.  xtol > 0 and rtol >= RTOL_MIN, as scipy
     requires, are the caller's to keep.
     """
+    lane = brent_lane(xa, xb, xtol, rtol)
+    x = next(lane)
+    try:
+        while True:
+            x = lane.send(f(x))
+    except StopIteration as done:
+        return done.value
+
+
+def brent_lane(xa: float, xb: float, xtol: float, rtol: float):
+    """brentq's loop as a generator, one lane of a lockstep polish: it
+    yields each abscissa at which f is wanted, is sent f there, and returns
+    the root (or raises) as brentq does."""
     xpre, xcur = float(xa), float(xb)
-    fpre = float(f(xpre))
+    fpre = float((yield xpre))
     if fpre != fpre:
         raise _nan_value(xpre)
-    fcur = float(f(xcur))
+    fcur = float((yield xcur))
     if fcur != fcur:
         raise _nan_value(xcur)
     if fpre == 0.0:
@@ -336,10 +365,28 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
+        fcur = float((yield xcur))
         if fcur != fcur:
             raise _nan_value(xcur)
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
+
+
+def lockstep(F, lanes) -> list:
+    """What each of the generators lanes returns, in order, running them
+    side by side: each round, F maps the list of every pending lane's
+    next abscissa to the list of values there.  A lane's exception, or
+    F's, propagates."""
+    results = [None] * len(lanes)
+    pending = [(i, lane, next(lane)) for i, lane in enumerate(lanes)]
+    while pending:
+        running = []
+        for (i, lane, _), value in zip(pending, F([x for _, _, x in pending])):
+            try:
+                running.append((i, lane, lane.send(value)))
+            except StopIteration as done:
+                results[i] = done.value
+        pending = running
+    return results
 
 
 def _nan_value(x: float) -> ValueError:

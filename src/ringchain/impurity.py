@@ -11,26 +11,36 @@ f_single(E) = gamma_1, two vertices to the pair f_-/f_+ (depending only on
 gamma_1 + gamma_2 and (gamma_1 - gamma_2)^2), and identical arrays to a
 cot/tan pair in the Chebyshev angle of xi_1.
 
-solve_gaps solves all gap pieces of a pattern in one pass: one grid, one
-char_residual scan, one float residual prepared for the Brent polish.
+solve_gaps solves all gap pieces of a pattern in one pass: one grid and
+one char_residual scan over every piece, then Brent's method on all the
+brackets in lockstep, each round evaluating every pending abscissa with
+one batch_residual call.  batch_residual gives char_residual's float
+values bit for bit: the kernels come from math on each float, and the rest
+is IEEE arithmetic, which numpy rounds as Python does.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import band as band_mod
-from .core import ChainParams, f_single, find_roots, gap_surd, kernels, on_flat_band, s_kernel, xi, xi_background
+from .core import (
+    RTOL_ROOT, ChainParams, brent_lane, f_single, gap_surd, kernels, lockstep, on_flat_band, s_kernel, scan_roots, xi,
+    xi_background,
+)
 from .errors import FlatBandPole, InvalidParameter
 from .transfer import PQ_SEED, pq_advance
 
 EDGE_DISCARD = 1e-8     # roots this close to a gap edge are band, not bound
 GRID_POINTS = 600       # base scan resolution per gap piece
+FLOAT_LANES = 8         # batch_residual evaluates this few floats one by one, not as an array
 
 
 @dataclass(frozen=True)
@@ -87,17 +97,24 @@ def _quadratic(E, params: ChainParams, cs, xis):
     return Q_prev * lam * lam - (P_prev + Q) * lam + P
 
 
-def pattern_residual(pattern: PerturbationPattern, params: ChainParams):
-    """char_residual on floats, prepared once per (pattern, params): one xi call over the distinct
-    couplings, reordered by an index; elementwise ops round as float ops do, so values match bit for bit."""
+def batch_residual(pattern: PerturbationPattern, params: ChainParams):
+    """char_residual over a list of floats, as a list, bit for bit; prepared once per
+    (pattern, params).  The kernels are math's on each float, then xi over the distinct
+    couplings, the surd, pq_advance and the quadratic run on arrays.  At most FLOAT_LANES
+    floats go to char_residual one by one, and so does a float whose batch value is NaN,
+    so that char_residual's errors (inside a band, on a flat band) are raised."""
     distinct, index = np.unique(np.array(pattern.gammas), return_inverse=True)
-    couplings = params.alpha + distinct
+    couplings = (params.alpha + distinct)[:, None]
 
-    def residual(E: float) -> float:
-        cs = kernels(E)
-        return _quadratic(E, params, cs, xi(E, couplings, params, cs)[index].tolist())
+    def residuals(Es: list[float]) -> list[float]:
+        if len(Es) <= FLOAT_LANES:
+            return [char_residual(x, pattern, params) for x in Es]
+        E, cs = np.array(Es), tuple(map(np.array, zip(*map(kernels, Es))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _quadratic(E, params, cs, xi(E, couplings, params, cs)[index]).tolist()
+        return [char_residual(x, pattern, params) if v != v else v for x, v in zip(Es, values)]
 
-    return residual
+    return residuals
 
 
 def gap0_scan_floor(pattern: PerturbationPattern, params: ChainParams) -> float:
@@ -148,24 +165,42 @@ def solve_gaps(pattern: PerturbationPattern, gaps: Sequence[tuple[float, float]]
                gap_index: int = 0, tol_root: float = 1e-13, grid_points: int = GRID_POINTS,
                edge_margin: float = EDGE_DISCARD) -> list[ImpurityState]:
     """All characteristic-equation roots strictly inside each of the ascending, disjoint
-    gap pieces, numbered from gap_index on: one build of all the pieces' grids, one
-    char_residual scan over them, cut back into pieces so that no bracket crosses a
-    piece boundary, and Brent's method on pattern_residual for each bracket.  Roots
-    within edge_margin of a gap edge are discarded; grid points spilling past a stored
-    gap edge (band-edge root tolerance) into the band scan as NaN."""
+    gap pieces, numbered from gap_index on.  One build of all the pieces' grids (grid_points,
+    an integer >= 2, per piece) and one char_residual scan over them; every sign change
+    inside a piece is polished by Brent's method, all of them in lockstep on
+    batch_residual, and the grid points where the scan is exactly 0 are roots too.  The
+    roots are those of a piece-by-piece find_roots on char_residual, bit for bit.  Roots
+    within edge_margin of a gap edge are discarded; grid points spilling past a stored gap
+    edge (band-edge root tolerance) into the band scan as NaN."""
+    try:
+        grid_points = operator.index(grid_points)
+    except TypeError:
+        raise InvalidParameter("grid_points must be an integer") from None
+    if grid_points < 2:
+        raise InvalidParameter("grid_points must be >= 2")
     if not gaps:
         return []
     grid, ends = gap_scan_grids(gaps, pattern, params, grid_points)
-    residual = pattern_residual(pattern, params)
-    states: list[ImpurityState] = []
     # numpy overflows to inf and NaN silently here, as float arithmetic does
     with np.errstate(over="ignore", invalid="ignore"):
         vals = char_residual(grid, pattern, params)
-        for i, (gap, a, b) in enumerate(zip(gaps, [0, *ends[:-1]], ends)):
-            pts, scan = grid[a:b], vals[a:b]
-            roots = find_roots(lambda E: scan if E is pts else residual(E), pts, tol_root)
-            states += interior_states(roots, gap, gap_index + i, residual, edge_margin)
-    return states
+    changes, zeros = scan_roots(vals)
+    residuals = batch_residual(pattern, params)
+    lanes, owners = [], []
+    for i in changes:
+        k = bisect_right(ends, i)     # the piece of grid[i]
+        if i + 1 < ends[k]:           # no bracket crosses a piece boundary
+            lanes.append(brent_lane(grid[i], grid[i + 1], tol_root, RTOL_ROOT))
+            owners.append(k)
+    roots = [[] for _ in gaps]
+    for k, r in zip(owners, lockstep(residuals, lanes)):
+        roots[k].append(r)
+    for i in zeros:
+        roots[bisect_right(ends, i)].append(float(grid[i]))
+    kept = [(gap_index + k, r) for k, gap in enumerate(gaps) for r in sorted(roots[k])
+            if _interior(r, gap, edge_margin)]
+    column = residuals([r for _, r in kept])
+    return [ImpurityState(E=r, gap_index=k, residual=abs(v)) for (k, r), v in zip(kept, column)]
 
 
 def solve_gap(pattern: PerturbationPattern, gap: tuple[float, float], params: ChainParams,
@@ -175,14 +210,18 @@ def solve_gap(pattern: PerturbationPattern, gap: tuple[float, float], params: Ch
     return solve_gaps(pattern, [gap], params, gap_index, tol_root, grid_points, edge_margin)
 
 
+def _interior(r: float, gap, edge_margin: float) -> bool:
+    lo, hi = gap
+    return not (math.isfinite(lo) and r - lo < edge_margin) and hi - r >= edge_margin
+
+
 def interior_states(roots, gap, gap_index: int, residual, edge_margin: float = EDGE_DISCARD) -> list[ImpurityState]:
     """The roots as bound states, except those within edge_margin of a
     gap edge (those are band states, not bound states)."""
-    lo, hi = gap
     return [
         ImpurityState(E=r, gap_index=gap_index, residual=abs(residual(r)))
         for r in roots
-        if not (math.isfinite(lo) and r - lo < edge_margin) and hi - r >= edge_margin
+        if _interior(r, gap, edge_margin)
     ]
 
 

@@ -1,6 +1,8 @@
-"""core.brentq against scipy.optimize.brentq: the same root bit for bit,
-reached through the same abscissae, and the same exceptions."""
+"""core.brentq, and core.brent_lane run in lockstep, against
+scipy.optimize.brentq: the same root bit for bit, reached through the
+same abscissae, and the same exceptions."""
 
+import functools
 import inspect
 import math
 
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from ringchain import ChainParams, PerturbationPattern, band_edges, core
-from ringchain.core import RTOL_MIN, RTOL_ROOT, brentq, f_single, xi_background
+from ringchain.core import RTOL_MIN, RTOL_ROOT, brent_lane, brentq, f_single, lockstep, xi_background
 from ringchain.errors import FlatBandPole, InsideBand
-from ringchain.impurity import char_residual
+from ringchain.impurity import FLOAT_LANES, batch_residual, char_residual
 
 # (xtol, rtol) of the package's polishes: band edges, bound states, E*
 TOLERANCES = st.sampled_from([(1e-10, RTOL_ROOT), (1e-13, RTOL_ROOT), (1e-14, RTOL_MIN), (2e-12, RTOL_MIN)])
@@ -53,13 +55,19 @@ def value(F, E):
         return math.nan
 
 
+def scan(F, lo, hi):
+    """A float scan of F over [lo, hi], NaN where F is undefined, and the
+    indices of its sign changes."""
+    grid = np.linspace(lo, hi, SCAN_POINTS)
+    vals = np.array([value(F, float(E)) for E in grid])
+    return grid, vals, [i for i in range(len(grid) - 1) if vals[i] * vals[i + 1] < 0]
+
+
 def draw_bracket(data, F, lo, hi):
     """A random sign-changing bracket of F within [lo, hi]: each end lies
     anywhere in the run of one sign (no NaN) of a float scan that flanks
     a sign change, in either order."""
-    grid = np.linspace(lo, hi, SCAN_POINTS)
-    vals = np.array([value(F, float(E)) for E in grid])
-    changes = [i for i in range(len(grid) - 1) if vals[i] * vals[i + 1] < 0]
+    grid, vals, changes = scan(F, lo, hi)
     assume(changes)
     i = data.draw(st.sampled_from(changes))
     left, right = i, i + 1
@@ -192,3 +200,97 @@ def test_maxiter_is_scipys_default():
 def test_rtol_floor_is_scipys():
     assert RTOL_MIN == 4 * np.finfo(float).eps
     assert_same(lambda x: x - 1.0 / 3.0, 0.0, 1.0, rtol=RTOL_MIN)
+
+
+def recorded_lane(lane, seen):
+    """The lane, noting each abscissa it yields in seen."""
+    x = next(lane)
+    while True:
+        seen.append(x)
+        try:
+            x = lane.send((yield x))
+        except StopIteration as done:
+            return done.value
+
+
+def lockstep_outcomes(F, f, brackets, xtol, rtol):
+    """Each bracket's (root as hex, abscissae), polished in one lockstep on
+    the list map F, and what scipy gives each bracket alone on f."""
+    seen = [[] for _ in brackets]
+    lanes = [recorded_lane(brent_lane(a, b, xtol, rtol), calls) for (a, b), calls in zip(brackets, seen)]
+    ours = [(r.hex(), calls) for r, calls in zip(lockstep(F, lanes), seen)]
+    return ours, [outcome(scipys, f, a, b, xtol, rtol) for a, b in brackets]
+
+
+@settings(suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow], deadline=None, max_examples=40)
+@given(
+    params=magnetic,
+    m=st.sampled_from([1, 3, 8, 50]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(FLOAT_LANES + 1, 20),
+    tols=TOLERANCES,
+    data=st.data(),
+)
+def test_pattern_lockstep_is_scipys(params, m, seed, n, tols, data):
+    """More brackets than FLOAT_LANES: the first rounds run on batch_residual's
+    arrays, and the last, as lanes finish, on the float char_residual."""
+    pattern = PerturbationPattern(tuple(np.random.default_rng(seed).uniform(-3.0, 3.0, m)))
+    f = lambda E: char_residual(E, pattern, params)
+    scanned = functools.lru_cache(maxsize=None)(lambda E: value(f, E))   # each gap piece is scanned once
+    pieces = [(hi - 20.0 if math.isinf(lo) else lo, hi) for lo, hi in band_edges(params, CUTOFF).gaps]
+    with np.errstate(over="ignore"):   # a long pattern overflows far below the first band
+        pieces = [piece for piece in pieces if scan(scanned, *piece)[2]]
+        assume(pieces)
+        brackets = [draw_bracket(data, scanned, *data.draw(st.sampled_from(pieces))) for _ in range(n)]
+    want = [outcome(scipys, f, a, b, *tols) for a, b in brackets]
+    assume(all(isinstance(root, str) for root, _ in want))   # scipy raises on none of them
+    residuals, rounds = batch_residual(pattern, params), []
+    ours, scipy = lockstep_outcomes(lambda xs: rounds.append(len(xs)) or residuals(xs), f, brackets, *tols)
+    assert ours == scipy == want
+    assert rounds[0] > FLOAT_LANES
+
+
+def cubic(x):
+    return (x - 1.0) * (x - 2.5) * (x + 0.7)
+
+
+@given(tols=TOLERANCES)
+def test_lanes_that_finish_early_beside_lanes_that_run_on(tols):
+    brackets = [
+        (1.0, 1.7),                      # an end where f is exactly 0
+        (-3.0, 0.0),
+        (2.5 - 1e-15, 2.5 + 1e-15),      # within tolerance: no iteration
+        (0.2, 1.0),                      # the second end is the zero
+        (1.7, 3.9),
+    ]
+    ours, scipy = lockstep_outcomes(lambda xs: [cubic(x) for x in xs], cubic, brackets, *tols)
+    assert ours == scipy
+    assert [len(calls) for _, calls in ours][0] == 2 < max(len(calls) for _, calls in ours)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(1.2, 2.2), (3.0, 4.0)],           # ends of one sign
+    ids=["negative", "positive"],
+)
+def test_lockstep_same_sign_ends_raise(bad):
+    want = outcome(scipys, cubic, *bad, 1e-12, RTOL_ROOT)[0]
+    assert want == (ValueError, "f(a) and f(b) must have different signs")
+    lanes = [brent_lane(a, b, 1e-12, RTOL_ROOT) for a, b in [(-3.0, 0.0), bad, (1.7, 3.9)]]
+    with pytest.raises(ValueError) as exc:
+        lockstep(lambda xs: [cubic(x) for x in xs], lanes)
+    assert (exc.type, str(exc.value)) == want
+
+
+def test_lockstep_nan_raises():
+    f = lambda x: math.nan if 0.0 < x < 0.9 else (x - 0.5) * (x - 2.0)
+    want = outcome(scipys, f, -0.25, 1.0, 1e-12, RTOL_ROOT)[0]
+    assert want[0] is ValueError and "is NaN" in want[1]
+    lanes = [brent_lane(1.0, 3.0, 1e-12, RTOL_ROOT), brent_lane(-0.25, 1.0, 1e-12, RTOL_ROOT)]
+    with pytest.raises(ValueError) as exc:
+        lockstep(lambda xs: [f(x) for x in xs], lanes)
+    assert (exc.type, str(exc.value)) == want
+
+
+def test_lockstep_of_no_lanes_calls_nothing():
+    assert lockstep(lambda xs: pytest.fail("called"), []) == []

@@ -1,10 +1,10 @@
 """The one-pass solver against the per-piece one it replaces.
 
 solve_gaps builds the grids of all gap pieces at once, scans
-char_residual once over them and polishes on a residual prepared once per
-pattern.  Each step is pinned here to the per-piece version, written out
-as all_states ran it piece by piece: np.linspace grids, one char_residual
-scan per piece, and char_residual itself in the polish.  Roots compare as
+char_residual once over them and polishes all the brackets in lockstep on
+batch_residual.  Each step is pinned here to the per-piece version,
+written out as all_states ran it piece by piece: np.linspace grids, one
+char_residual scan per piece, and char_residual itself in the polish.  Roots compare as
 hex floats.
 """
 
@@ -29,7 +29,7 @@ from ringchain import (
 from ringchain import impurity
 from ringchain.core import find_roots, lambda_small
 from ringchain.errors import InvalidParameter
-from ringchain.impurity import all_states, interior_states, pattern_residual, solve_gaps
+from ringchain.impurity import all_states, batch_residual, interior_states, solve_gaps
 
 
 def reference_gap_grid(lo, hi, n_base):
@@ -168,26 +168,50 @@ class TestAgainstPerPieceLoop:
 
 
 class TestPatternResidual:
+    """batch_residual, the residual prepared once per pattern, against char_residual."""
+
     @pytest.mark.parametrize("params, pattern", CASES[::5], ids=CASE_IDS[::5])
     def test_bit_identical_at_random_gap_energies(self, params, pattern):
         layout = band_edges(params, 25.0)
-        residual = pattern_residual(pattern, params)
+        residuals = batch_residual(pattern, params)
         rng = np.random.default_rng(len(pattern.gammas))
         for gi, (lo, hi) in enumerate(layout.gaps[:6]):
             lo = hi - 3.0 if math.isinf(lo) else lo
-            for E in rng.uniform(lo, hi, 20).tolist():
-                want = char_residual(E, pattern, params)
-                got = residual(E)
-                assert type(got) is float
-                assert got.hex() == want.hex()
+            Es = rng.uniform(lo, hi, 20).tolist()   # more than FLOAT_LANES: one array round
+            want = [char_residual(E, pattern, params).hex() for E in Es]
+            for got in (residuals(Es), [residuals([E])[0] for E in Es]):
+                assert all(type(v) is float for v in got)
+                assert [v.hex() for v in got] == want
 
     def test_same_errors(self):
         params = ChainParams.from_cos_flux(0.6, 1.0)
         pattern = PerturbationPattern((1.5, -0.7, 1.5))
-        residual = pattern_residual(pattern, params)
-        band = band_edges(params, 12.0).bands[1]
-        for fn in (residual, lambda E: char_residual(E, pattern, params)):
+        residuals = batch_residual(pattern, params)
+        layout = band_edges(params, 12.0)
+        band = layout.bands[1]
+        gap_energy = 0.5 * sum(layout.gaps[1])
+        for fn in (lambda E: residuals([E]), lambda E: residuals([gap_energy] * 10 + [E] + [gap_energy] * 10),
+                   lambda E: char_residual(E, pattern, params)):
             with pytest.raises(FlatBandPole):
                 fn(4.0)
             with pytest.raises(InsideBand):
                 fn(0.5 * (band[0] + band[1]))
+
+
+class TestGridPoints:
+    @pytest.mark.parametrize("bad", [1, 0, -3, 2.5, 600.0, "600", None])
+    def test_rejected(self, bad):
+        p = ChainParams.from_cos_flux(0.7, 1.0)
+        gap = band_edges(p, 12.0).gaps[0]
+        with pytest.raises(InvalidParameter):
+            solve_gap(PerturbationPattern.single(-1.0), gap, p, grid_points=bad)
+        with pytest.raises(InvalidParameter):
+            solve_gaps(PerturbationPattern.single(-1.0), [gap], p, grid_points=bad)
+
+    def test_integers_accepted(self):
+        p = ChainParams.from_cos_flux(0.7, 1.0)
+        gap = band_edges(p, 12.0).gaps[0]
+        pattern = PerturbationPattern.single(-1.0)
+        want = hexed(reference_solve_gap(pattern, gap, p, grid_points=2))
+        assert hexed(solve_gap(pattern, gap, p, grid_points=2)) == want
+        assert hexed(solve_gap(pattern, gap, p, grid_points=np.int64(600))) == hexed(solve_gap(pattern, gap, p))
