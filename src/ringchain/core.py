@@ -27,9 +27,12 @@ float and numpy's for an array, on_flat_band applies the rule E = n^2 to
 either, and gap_surd raises FlatBandPole and then InsideBand for a float
 where a gap-only quantity is undefined, and gives NaN there for an array.
 A float in gives a Python float out, with no numpy call on the way.
-numpy's transcendentals may differ from math's in the last bit, so
-find_roots scans F on an array grid but polishes F on floats: every root
-is the one the float formula alone gives.
+
+find_roots is the one root enumerator, of band edges and bound states
+alike: it decides what a root of a scan is and polishes it.  numpy's
+transcendentals may differ from math's in the last bit, so it scans F on
+an array grid but polishes F on floats: every root is the one the float
+formula alone gives.
 
 The polish is brentq, Brent's method (R. P. Brent, Algorithms for
 Minimization without Derivatives, Prentice-Hall 1973, ch. 4) as scipy's
@@ -37,11 +40,12 @@ optimize.brentq runs it, ported step for step onto Python floats so that
 the analytic modules need numpy only and keep every bit of scipy's roots.
 The loop is written once, as the generator brent_lane, which yields each
 abscissa and is sent F there; brentq drives one lane with F.  Where one
-evaluation of F is costly, many brackets are polished in lockstep
-instead: lockstep evaluates every pending lane's next abscissa in one call.
-That call may evaluate F as an array, and keep every bit, if it takes
-the kernels from math on each float: the rest of a spectral formula is
-IEEE arithmetic, which numpy rounds as Python does.
+evaluation of F is costly, the caller passes find_roots a batch evaluator
+and the brackets are polished in lockstep instead: lockstep evaluates
+every pending lane's next abscissa in one call.  That call may evaluate F
+as an array, and keep every bit, if it takes the kernels from math on
+each float: the rest of a spectral formula is IEEE arithmetic, which
+numpy rounds as Python does.
 """
 
 from __future__ import annotations
@@ -263,31 +267,31 @@ def f_single(E, params: ChainParams):
     return -sgn * (4.0 * params.cos_flux / s) * root
 
 
-def find_roots(F, grid: np.ndarray, xtol: float, rtol: float = RTOL_ROOT) -> list[float]:
+def find_roots(F, grid: np.ndarray, xtol: float, rtol: float = RTOL_ROOT, ends=(), batch=None) -> list[float]:
     """All roots of F that the grid resolves, ascending: every sign change
-    of F(grid) (NaN where F is undefined) polished by brentq on F over
-    floats, and the grid points where F(grid) is exactly zero.
+    of F(grid) (NaN where F is undefined) polished by Brent's method on F
+    over floats, and the grid points where F(grid) is exactly zero.
 
-    F is called once with the grid object itself, then only on Python
-    floats, so a caller may answer `E is grid` from a scan it already has.
+    The grid may join several pieces, each ending before one of the
+    indices ends: no bracket crosses from one piece into the next.  Each
+    bracket is polished by brentq on F, or, given batch, a list-to-list
+    evaluator of F, all of them in lockstep on batch.  F is called once
+    with the grid object itself, then only on Python floats, so a caller
+    may answer `E is grid` from a scan it already has.
     """
     # a scan reaches far past where F is of interest (long patterns overflow
     # far below the first band); inf and NaN there never bracket a root
     with np.errstate(over="ignore", invalid="ignore"):
         vals = F(grid)
-    changes, zeros = scan_roots(vals)
-    roots = [brentq(F, float(grid[i]), float(grid[i + 1]), xtol, rtol) for i in changes]
-    roots.extend(float(grid[i]) for i in zeros)
+        changes = np.flatnonzero(vals[:-1] * vals[1:] < 0).tolist()
+    cut = {e - 1 for e in ends}   # the bracket (i, i + 1) crosses the end i + 1
+    brackets = [(float(grid[i]), float(grid[i + 1])) for i in changes if i not in cut]
+    if batch is None:
+        roots = [brentq(F, a, b, xtol, rtol) for a, b in brackets]
+    else:
+        roots = lockstep(batch, [brent_lane(a, b, xtol, rtol) for a, b in brackets])
+    roots.extend(float(grid[i]) for i in np.flatnonzero(vals == 0.0))
     return sorted(roots)
-
-
-def scan_roots(vals: np.ndarray) -> tuple[list[int], list[int]]:
-    """Where a scan of F shows roots: the indices i with a strict sign
-    change between vals[i] and vals[i + 1], each a bracket to polish, and
-    those with vals[i] exactly 0, each a root.  inf and NaN bracket none."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        changes = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-    return changes.tolist(), np.flatnonzero(vals == 0.0).tolist()
 
 
 def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:

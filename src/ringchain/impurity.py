@@ -11,9 +11,10 @@ f_single(E) = gamma_1, two vertices to the pair f_-/f_+ (depending only on
 gamma_1 + gamma_2 and (gamma_1 - gamma_2)^2), and identical arrays to a
 cot/tan pair in the Chebyshev angle of xi_1.
 
-solve_gaps solves all gap pieces of a pattern in one pass: one grid and
-one char_residual scan over every piece, then Brent's method on all the
-brackets in lockstep, each round evaluating every pending abscissa with
+solve_gaps solves all gap pieces of a pattern with one call of core's root
+enumerator, find_roots: one grid and one char_residual scan over every
+piece, no bracket across a piece's end, and Brent's method on all the
+brackets side by side, each round evaluating every pending abscissa with
 one batch_residual call.  batch_residual gives char_residual's float
 values bit for bit: the kernels come from math on each float, and the rest
 is IEEE arithmetic, which numpy rounds as Python does.
@@ -31,10 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import band as band_mod
-from .core import (
-    RTOL_ROOT, ChainParams, brent_lane, f_single, gap_surd, kernels, lockstep, on_flat_band, s_kernel, scan_roots, xi,
-    xi_background,
-)
+from .core import ChainParams, f_single, find_roots, gap_surd, kernels, on_flat_band, s_kernel, xi, xi_background
 from .errors import FlatBandPole, InvalidParameter
 from .transfer import PQ_SEED, pq_advance
 
@@ -151,10 +149,14 @@ def _gap_grid(lo: float, hi: float, n_base: int) -> np.ndarray:
 
 def gap_scan_grids(gaps, pattern: PerturbationPattern, params: ChainParams, n_base: int):
     """Root-scan grids of ascending gap pieces, concatenated, and where each piece's points
-    end; gap 0 starts at the pattern's certified floor, kept below the piece's upper edge."""
+    end; gap 0 starts at the pattern's certified floor, kept below the piece's upper edge.
+    Raises InvalidParameter unless the pieces are ascending and disjoint, each lo < hi, with
+    no end NaN or infinite but the first piece's lower end, which may be -inf."""
     lo, hi = np.array(gaps, dtype=float).T
-    if np.any(lo[1:] < hi[:-1]):
-        raise InvalidParameter("gap pieces must be ascending and disjoint")
+    # NaN fails every comparison; a finite hi[k] keeps lo[k + 1] off -inf
+    if not (np.all(lo < hi) and np.all(np.isfinite(hi)) and np.all(lo[1:] >= hi[:-1])):
+        raise InvalidParameter("gap pieces must be ascending, disjoint intervals lo < hi with finite ends, "
+                               "save a lower end -inf on the first")
     if math.isinf(lo[0]):
         lo[0] = min(gap0_scan_floor(pattern, params), hi[0] - 1e-9)
     grid = _gap_grids(lo, hi, n_base)
@@ -166,39 +168,28 @@ def solve_gaps(pattern: PerturbationPattern, gaps: Sequence[tuple[float, float]]
                edge_margin: float = EDGE_DISCARD) -> list[ImpurityState]:
     """All characteristic-equation roots strictly inside each of the ascending, disjoint
     gap pieces, numbered from gap_index on.  One build of all the pieces' grids (grid_points,
-    an integer >= 2, per piece) and one char_residual scan over them; every sign change
-    inside a piece is polished by Brent's method, all of them in lockstep on
-    batch_residual, and the grid points where the scan is exactly 0 are roots too.  The
-    roots are those of a piece-by-piece find_roots on char_residual, bit for bit.  Roots
-    within edge_margin of a gap edge are discarded; grid points spilling past a stored gap
-    edge (band-edge root tolerance) into the band scan as NaN."""
+    an integer >= 2, per piece) and one find_roots on char_residual over them, with the
+    pieces' ends and batch_residual: the roots are those of a piece-by-piece find_roots,
+    bit for bit.  Roots within edge_margin (>= 0) of a gap edge are discarded; grid points
+    spilling past a stored gap edge (band-edge root tolerance) into the band scan as NaN."""
     try:
         grid_points = operator.index(grid_points)
     except TypeError:
         raise InvalidParameter("grid_points must be an integer") from None
     if grid_points < 2:
         raise InvalidParameter("grid_points must be >= 2")
+    if not 0.0 < tol_root < math.inf:
+        raise InvalidParameter(f"tol_root must be finite and > 0, got {tol_root}")
+    if not edge_margin >= 0.0:
+        raise InvalidParameter(f"edge_margin must be >= 0, got {edge_margin}")
     if not gaps:
         return []
     grid, ends = gap_scan_grids(gaps, pattern, params, grid_points)
-    # numpy overflows to inf and NaN silently here, as float arithmetic does
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = char_residual(grid, pattern, params)
-    changes, zeros = scan_roots(vals)
     residuals = batch_residual(pattern, params)
-    lanes, owners = [], []
-    for i in changes:
-        k = bisect_right(ends, i)     # the piece of grid[i]
-        if i + 1 < ends[k]:           # no bracket crosses a piece boundary
-            lanes.append(brent_lane(grid[i], grid[i + 1], tol_root, RTOL_ROOT))
-            owners.append(k)
-    roots = [[] for _ in gaps]
-    for k, r in zip(owners, lockstep(residuals, lanes)):
-        roots[k].append(r)
-    for i in zeros:
-        roots[bisect_right(ends, i)].append(float(grid[i]))
-    kept = [(gap_index + k, r) for k, gap in enumerate(gaps) for r in sorted(roots[k])
-            if _interior(r, gap, edge_margin)]
+    roots = find_roots(lambda E: char_residual(E, pattern, params), grid, tol_root, ends=ends, batch=residuals)
+    his = [hi for _, hi in gaps]
+    owners = [bisect_right(his, r) for r in roots]   # the piece of each root
+    kept = [(gap_index + k, r) for k, r in zip(owners, roots) if _interior(r, gaps[k], edge_margin)]
     column = residuals([r for _, r in kept])
     return [ImpurityState(E=r, gap_index=k, residual=abs(v)) for (k, r), v in zip(kept, column)]
 

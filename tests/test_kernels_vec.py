@@ -1,13 +1,16 @@
 """The array path of each kernel against its float path, and the grid
 root enumerator."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from ringchain import ChainParams, DistantPair, PerturbationPattern, core, impurity
+from ringchain import ChainParams, DistantPair, PerturbationPattern, band_edges, core, impurity
 from ringchain.asymptotics import distant_residual
 from ringchain.core import (
     c_kernel,
@@ -23,7 +26,7 @@ from ringchain.core import (
     xi_background,
 )
 from ringchain.errors import FlatBandPole, HalfIntegerFlux, InsideBand
-from ringchain.impurity import char_residual
+from ringchain.impurity import batch_residual, char_residual
 from ringchain.transfer import reconstruct_edge
 
 # E < 0, E = 0, E > 0, every flat band n^2 <= 36 and points just off them
@@ -304,3 +307,36 @@ class TestFindRoots:
         grid = np.array([1.0, 2.0])
         coarse = find_roots(lambda E: E * E - 2.0, grid, 1e-3, rtol=1e-3)
         assert coarse[0] != math.sqrt(2.0) and abs(coarse[0] - math.sqrt(2.0)) < 2e-3
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["brentq", "batch"])
+    def test_no_bracket_crosses_a_piece_end(self, batch):
+        # sin changes sign between grid[i] and grid[i + 1] for i = 15, 30, 46
+        grid = np.linspace(0.1, 10.0, 50)
+        sin = lambda E: np.sin(E) if isinstance(E, np.ndarray) else math.sin(E)  # noqa: E731
+        kw = {"batch": lambda xs: [math.sin(x) for x in xs]} if batch else {}
+        whole = find_roots(sin, grid, 1e-14, **kw)
+        assert find_roots(sin, grid, 1e-14, ends=[50], **kw) == whole
+        for ends, kept in [([16, 50], [1, 2]), ([0, 16, 31, 50], [2]), ([16, 31, 47, 50], []),
+                           ([15, 30, 46, 50], [0, 1, 2])]:
+            assert find_roots(sin, grid, 1e-14, ends=ends, **kw) == [whole[i] for i in kept]
+        # an exact zero is a root, at the start of a piece too
+        line = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        assert find_roots(lambda E: E, line, 1e-14, ends=[2, 5], **kw) == [0.0]
+
+    @given(params=st.sampled_from(PARAMS), pattern=st.sampled_from(PATTERNS), n_base=st.sampled_from([2, 17, 150, 600]),
+           first=st.integers(0, 3), count=st.integers(1, 8), xtol=st.sampled_from([1e-13, 1e-10, 1e-6]))
+    def test_batch_polish_is_brentqs(self, params, pattern, n_base, first, count, xtol):
+        """On a pattern's gap grids, the lockstep polish on batch_residual
+        and brentq on char_residual give the same roots, bit for bit."""
+        gaps = layout_of(params).gaps
+        gaps = gaps[first % len(gaps):][:count]
+        grid, ends = impurity.gap_scan_grids(gaps, pattern, params, n_base)
+        F = lambda E: char_residual(E, pattern, params)  # noqa: E731
+        want = find_roots(F, grid, xtol, ends=ends)
+        got = find_roots(F, grid, xtol, ends=ends, batch=batch_residual(pattern, params))
+        assert [r.hex() for r in got] == [r.hex() for r in want]
+
+
+@functools.cache
+def layout_of(params):
+    return band_edges(params, 25.0)

@@ -27,6 +27,7 @@ from ringchain import (
     solve_gap,
 )
 from ringchain import impurity
+from ringchain.asymptotics import DistantPair, WeakCouplingProblem, distant_solve, splitting_rate, weak_predictor
 from ringchain.core import find_roots, lambda_small
 from ringchain.errors import InvalidParameter
 from ringchain.impurity import all_states, batch_residual, interior_states, solve_gaps
@@ -119,6 +120,24 @@ class TestBatchedGrid:
         p = ChainParams.from_cos_flux(0.7, 1.0)
         with pytest.raises(InvalidParameter):
             solve_gaps(PerturbationPattern.single(-1.0), [(1.0, 4.0), (0.0, 0.5)], p)
+        with pytest.raises(InvalidParameter):   # only gap 0 may start at -inf
+            solve_gaps(PerturbationPattern.single(-1.0), [(-math.inf, -3.0), (-math.inf, -1.0)], p)
+
+    @pytest.mark.parametrize("gap", [(5.0, 3.0), (math.nan, 3.0), (3.0, 3.0), (2.0, math.nan), (-math.inf, math.inf),
+                                     (2.0, math.inf), (math.inf, math.inf)])
+    def test_malformed_piece_rejected_by_every_solver(self, gap):
+        p = ChainParams.from_cos_flux(0.7, 1.0)
+        solvers = [
+            lambda: solve_gap(PerturbationPattern.single(-1.0), gap, p),
+            lambda: solve_gaps(PerturbationPattern.single(-1.0), [(-math.inf, -1.0), gap], p),
+            lambda: distant_solve(DistantPair(-1.5, -1.5, 4), gap, p),
+            lambda: distant_solve(DistantPair(-1.5, 0.5, 4), gap, p),
+            lambda: weak_predictor(gap, WeakCouplingProblem((-1.0,), 1e-2), p),
+            lambda: splitting_rate(DistantPair(-1.5, -1.5, 4), gap, p, [4, 5, 6, 7]),
+        ]
+        for solve in solvers:
+            with pytest.raises(InvalidParameter):
+                solve()
 
     def test_gap0_starts_at_the_pattern_floor(self):
         p = ChainParams.from_cos_flux(0.7, 1.0)
@@ -207,6 +226,30 @@ class TestGridPoints:
             solve_gap(PerturbationPattern.single(-1.0), gap, p, grid_points=bad)
         with pytest.raises(InvalidParameter):
             solve_gaps(PerturbationPattern.single(-1.0), [gap], p, grid_points=bad)
+
+    @pytest.mark.parametrize("tol_root", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_bad_tol_root_rejected(self, tol_root):
+        p = ChainParams.from_cos_flux(0.7, 1.0)
+        gap = band_edges(p, 12.0).gaps[0]
+        pattern = PerturbationPattern.single(-2.0)
+        with pytest.raises(InvalidParameter):
+            solve_gap(pattern, gap, p, tol_root=tol_root)
+        with pytest.raises(InvalidParameter):
+            solve_gaps(pattern, [gap], p, tol_root=tol_root)
+
+    @pytest.mark.parametrize("edge_margin", [math.nan, -1e-9, -math.inf])
+    def test_bad_edge_margin_rejected(self, edge_margin):
+        # gap 0 of this chain holds one state of gamma = -2, which a NaN
+        # margin would discard without a word
+        p = ChainParams.from_cos_flux(0.7, 1.0)
+        gap = band_edges(p, 12.0).gaps[0]
+        pattern = PerturbationPattern.single(-2.0)
+        assert len(solve_gap(pattern, gap, p)) == 1
+        assert len(solve_gap(pattern, gap, p, edge_margin=0.0)) == 1
+        with pytest.raises(InvalidParameter):
+            solve_gap(pattern, gap, p, edge_margin=edge_margin)
+        with pytest.raises(InvalidParameter):
+            solve_gaps(pattern, [gap], p, edge_margin=edge_margin)
 
     def test_integers_accepted(self):
         p = ChainParams.from_cos_flux(0.7, 1.0)
