@@ -6,24 +6,29 @@ like eps^2 because the single-impurity coupling function behaves like a
 square root at band edges.  Two impurities separated by n vertices couple
 through the factor lambda(E)^{2n+2}, so paired levels split at the
 exponential rate ln|lambda| per unit separation.
+
+Both limits are single-impurity states: the weak-coupling predictor is the
+state of one vertex of strength eps*sum(gamma), and the distant-pair limit
+E* that of one vertex of strength gamma.  impurity.solve_gap finds them, as
+it finds every bound state; the one scan of this module is distant_solve's,
+on the pair's own characteristic equation.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RTOL_MIN, ChainParams, f_single, find_roots, lambda_small
-from .errors import FitFailed, InvalidParameter
+from .core import ChainParams, f_single, find_roots, lambda_small
+from .errors import FitFailed, InvalidParameter, require_integer
 from .impurity import (
     EDGE_DISCARD, ImpurityState, PerturbationPattern, gap_scan_grids, interior_states, solve_gap,
 )
 
 R2_REQUIRED = 0.99
-SCAN_POINTS = 400       # base scan resolution per gap piece
+SCAN_POINTS = 400       # distant_solve's base scan resolution per gap piece
 
 
 @dataclass(frozen=True)
@@ -55,12 +60,7 @@ class DistantPair:
     n: int
 
     def __post_init__(self):
-        try:
-            operator.index(self.n)
-        except TypeError:
-            raise InvalidParameter("separation count n must be an integer") from None
-        if self.n < 0:
-            raise InvalidParameter("separation count n must be >= 0")
+        require_integer(self.n, 0, "separation count n")
         if not (math.isfinite(self.gamma1) and math.isfinite(self.gamma2)):
             raise InvalidParameter("both strengths must be finite")
         if self.gamma1 == 0.0 or self.gamma2 == 0.0:
@@ -102,17 +102,15 @@ def weak_predictor(
     problem: WeakCouplingProblem,
     params: ChainParams,
 ) -> float | None:
-    """Leading-order bound-state location: the root of f(E) = eps*sum(gamma).
+    """Leading-order bound-state location: the root of f(E) = eps*sum(gamma),
+    the state of one vertex of strength eps*sum(gamma).
 
-    None when the target value lies outside the range of f on the gap
-    piece (f is strictly monotone there, so at most one root exists).
+    None when the gap piece holds no such state (f is strictly monotone
+    there, so at most one exists; a zero strength binds none).
     """
-    target = problem.epsilon * problem.gamma_sum
-    if target == 0.0:
-        return None
-    grid, _ = gap_scan_grids([gap], problem.pattern(), params, SCAN_POINTS)
-    roots = find_roots(lambda E: f_single(E, params) - target, grid, 1e-15)
-    return roots[0] if roots else None
+    states = solve_gap(PerturbationPattern.single(problem.epsilon * problem.gamma_sum), gap, params,
+                       tol_root=1e-15, edge_margin=0.0)
+    return states[0].E if states else None
 
 
 def weak_exact(
@@ -230,8 +228,9 @@ def splitting_rate(
     """Decay rate of the two-level splitting against separation.
 
     Returns the fit of log|E_+ - E_-| vs n together with the reference
-    value ln|lambda(E*)| at the n -> infinity limit root E* (where
-    f(E*) = gamma); the fitted slope approaches that reference.
+    value ln|lambda(E*)| at the n -> infinity limit E*, the state of one
+    vertex of strength gamma (f(E*) = gamma); the fitted slope approaches
+    that reference.  Each n is an integer separation, as DistantPair takes.
     """
     if pair_template.gamma1 != pair_template.gamma2:
         raise InvalidParameter("splitting is defined for equal strengths")
@@ -239,19 +238,14 @@ def splitting_rate(
         raise FitFailed("need at least 4 distinct separations")
     gamma = pair_template.gamma1
 
-    # the polish of E* has always run at rtol 4 eps, RTOL_MIN; the grid is
-    # distant_solve's, scanned from the floor of the two strengths
-    roots = find_roots(lambda E: f_single(E, params) - gamma,
-                       gap_scan_grids([gap], PerturbationPattern((gamma, gamma)), params, SCAN_POINTS)[0], 1e-14,
-                       rtol=RTOL_MIN)
-    if not roots:
+    limit = solve_gap(PerturbationPattern.single(gamma), gap, params, tol_root=1e-14, edge_margin=0.0)
+    if not limit:
         raise FitFailed("no limiting root f(E) = gamma in this gap")
-    E_star = roots[0]
-    ref = math.log(abs(lambda_small(E_star, params.alpha, params)))
+    ref = math.log(abs(lambda_small(limit[0].E, params.alpha, params)))
 
     xs, ys = [], []
     for n in n_list:
-        states = distant_solve(DistantPair(gamma, gamma, int(n)), gap, params)
+        states = distant_solve(DistantPair(gamma, gamma, n), gap, params)
         if len(states) != 2:
             raise FitFailed(f"expected a split pair at n = {n}, found {len(states)}")
         split = abs(states[1].E - states[0].E)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChainParams, find_roots, kernels, on_flat_band, xi_background
-from .errors import CutoffTooSmall, HalfIntegerFlux, InvalidParameter
+from .errors import CutoffTooSmall, HalfIntegerFlux, InvalidParameter, require_integer
 
 TOL_ROOT = 1e-10
 
@@ -298,7 +298,6 @@ class FlatBandEigenfunction:
 
 def flat_band_eigenfunction(n: int, params: ChainParams, samples: int = 257) -> FlatBandEigenfunction:
     """Explicit eigenfunction at E = n^2 on one or two adjacent rings."""
-    if n < 1:
-        raise InvalidParameter("n must be a positive integer")
+    require_integer(n, 1, "n")
     x = np.linspace(0.0, math.pi, samples)
     return FlatBandEigenfunction(n=n, params=params, x=x, single_ring=params.is_non_magnetic)

@@ -267,10 +267,11 @@ def f_single(E, params: ChainParams):
     return -sgn * (4.0 * params.cos_flux / s) * root
 
 
-def find_roots(F, grid: np.ndarray, xtol: float, rtol: float = RTOL_ROOT, ends=(), batch=None) -> list[float]:
+def find_roots(F, grid: np.ndarray, xtol: float, ends=(), batch=None) -> list[float]:
     """All roots of F that the grid resolves, ascending: every sign change
     of F(grid) (NaN where F is undefined) polished by Brent's method on F
-    over floats, and the grid points where F(grid) is exactly zero.
+    over floats to xtol and the relative tolerance RTOL_ROOT, and the grid
+    points where F(grid) is exactly zero.
 
     The grid may join several pieces, each ending before one of the
     indices ends: no bracket crosses from one piece into the next.  Each
@@ -287,9 +288,9 @@ def find_roots(F, grid: np.ndarray, xtol: float, rtol: float = RTOL_ROOT, ends=(
     cut = {e - 1 for e in ends}   # the bracket (i, i + 1) crosses the end i + 1
     brackets = [(float(grid[i]), float(grid[i + 1])) for i in changes if i not in cut]
     if batch is None:
-        roots = [brentq(F, a, b, xtol, rtol) for a, b in brackets]
+        roots = [brentq(F, a, b, xtol, RTOL_ROOT) for a, b in brackets]
     else:
-        roots = lockstep(batch, [brent_lane(a, b, xtol, rtol) for a, b in brackets])
+        roots = lockstep(batch, [brent_lane(a, b, xtol, RTOL_ROOT) for a, b in brackets])
     roots.extend(float(grid[i]) for i in np.flatnonzero(vals == 0.0))
     return sorted(roots)
 

@@ -20,7 +20,7 @@ from . import band as band_mod
 from . import impurity as impurity_mod
 from . import oracle as oracle_mod
 from .core import ChainParams, lambda_small
-from .errors import RingChainError, SolverNoConvergence
+from .errors import RingChainError, SolverNoConvergence, require_integer
 
 TOL_RAW = 1e-4        # plain finest-grid agreement
 TOL_RICH = 1e-6       # Richardson-extrapolated agreement
@@ -100,8 +100,10 @@ def _gap_window(gap, layout, E):
 
 
 def run_cases(seed: int, n_cases: int) -> list[CaseResult]:
-    """Check n_cases random configurations; one result per verified root."""
-    rng = np.random.default_rng(seed)
+    """Check n_cases random configurations; one result per verified root.
+    seed and n_cases are integers >= 0."""
+    rng = np.random.default_rng(require_integer(seed, 0, "seed"))
+    require_integer(n_cases, 0, "n_cases")
     results: list[CaseResult] = []
     case = 0
     while case < n_cases:

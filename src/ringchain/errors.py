@@ -4,6 +4,8 @@ Every scalar function is total over its stated domain and raises one of
 these instead of returning NaN.
 """
 
+import operator
+
 
 class RingChainError(Exception):
     """Base class for all solver errors."""
@@ -11,6 +13,18 @@ class RingChainError(Exception):
 
 class InvalidParameter(ValueError):
     """A model parameter outside its domain, rejected by its type's constructor."""
+
+
+def require_integer(value, least: int, what: str) -> int:
+    """operator.index(value) where value is an integer (no float, however
+    whole) >= least; otherwise raises InvalidParameter naming it what."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{what} must be an integer, not {value!r}") from None
+    if n < least:
+        raise InvalidParameter(f"{what} must be >= {least}, not {n}")
+    return n
 
 
 class HalfIntegerFlux(RingChainError):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import band as band_mod
 from .core import ChainParams, f_single, find_roots, gap_surd, kernels, on_flat_band, s_kernel, xi, xi_background
-from .errors import FlatBandPole, InvalidParameter
+from .errors import FlatBandPole, InvalidParameter, require_integer
 from .transfer import PQ_SEED, pq_advance
 
 EDGE_DISCARD = 1e-8     # roots this close to a gap edge are band, not bound
@@ -172,12 +171,7 @@ def solve_gaps(pattern: PerturbationPattern, gaps: Sequence[tuple[float, float]]
     pieces' ends and batch_residual: the roots are those of a piece-by-piece find_roots,
     bit for bit.  Roots within edge_margin (>= 0) of a gap edge are discarded; grid points
     spilling past a stored gap edge (band-edge root tolerance) into the band scan as NaN."""
-    try:
-        grid_points = operator.index(grid_points)
-    except TypeError:
-        raise InvalidParameter("grid_points must be an integer") from None
-    if grid_points < 2:
-        raise InvalidParameter("grid_points must be >= 2")
+    grid_points = require_integer(grid_points, 2, "grid_points")
     if not 0.0 < tol_root < math.inf:
         raise InvalidParameter(f"tol_root must be finite and > 0, got {tol_root}")
     if not edge_margin >= 0.0:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,7 +44,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .core import ChainParams
-from .errors import DimensionOverflow, FitFailed, InvalidParameter, SolverNoConvergence
+from .errors import DimensionOverflow, FitFailed, InvalidParameter, SolverNoConvergence, require_integer
 
 # relative ARPACK tolerance; window queries never need eigenvalues beyond
 # this resolution, and machine-precision restarts choke on the
@@ -68,14 +67,9 @@ class TruncatedChain:
     params: ChainParams
 
     def __post_init__(self):
-        try:
-            operator.index(self.n_rings), operator.index(self.points_per_edge)
-        except TypeError:
-            raise InvalidParameter("n_rings and points_per_edge must be integers") from None
-        if self.n_rings < 1 or self.n_rings % 2 == 0:
-            raise InvalidParameter("n_rings must be positive and odd so the perturbation can be centered")
-        if self.points_per_edge < 64:
-            raise InvalidParameter("need at least 64 points per edge")
+        if require_integer(self.n_rings, 1, "n_rings") % 2 == 0:
+            raise InvalidParameter("n_rings must be odd so the perturbation can be centered")
+        require_integer(self.points_per_edge, 64, "points_per_edge")
 
     @property
     def h(self) -> float:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ChainParams, kernels, lambda_pair, lambda_small, on_flat_band, xi
-from .errors import FlatBandPole, InvalidParameter
+from .errors import FlatBandPole, InvalidParameter, require_integer
 
 
 # (P_0, Q_0, P_{-1}, Q_{-1}): the first advance gives P_1 = 2*xi_1, Q_1 = 1
@@ -201,8 +201,10 @@ def bound_state_lattice(
     vertices 1..m (tails satisfy the unperturbed relation exactly), the
     perturbed recursion across the support.  At a characteristic-equation
     root the junction at vertex m+1 is seamless; otherwise the defect
-    there measures the distance from the root.
+    there measures the distance from the root.  margin, the tail length
+    on each side, is an integer >= 1.
     """
+    require_integer(margin, 1, "margin")
     lam = lambda_small(E, params.alpha, params)
     m = len(gammas)
     j_start = 1 - margin

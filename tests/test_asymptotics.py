@@ -18,6 +18,7 @@ from ringchain import (
     weak_gap_distance_scaling,
     weak_predictor,
 )
+from ringchain.errors import InvalidParameter
 
 EPS_LADDER = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
 
@@ -165,7 +166,7 @@ class TestWeakCoupling:
 
 
 class TestDistantPairs:
-    def test_pair_validation(self):
+    def test_pair_validation(self, params07_module, layout07_module):
         with pytest.raises(ValueError):
             DistantPair(1.0, 0.0, 3)
         with pytest.raises(ValueError):
@@ -181,6 +182,14 @@ class TestDistantPairs:
                 DistantPair(bad, -1.0, 3)
             with pytest.raises(ValueError, match="finite"):
                 DistantPair(-1.0, bad, 3)
+        # splitting_rate's separations are DistantPair's: 4.4 used to fit the
+        # n = 4 splitting at x = 4.4 (slope -1.2222 against -1.1520)
+        gap = layout07_module.gaps[0]
+        with pytest.raises(InvalidParameter, match="integer"):
+            splitting_rate(DistantPair(-1.5, -1.5, 4), gap, params07_module, [4.4, 6, 8, 10])
+        fit, _ = splitting_rate(DistantPair(-1.5, -1.5, 4), gap, params07_module, [4, 6, 8, 10])
+        assert splitting_rate(DistantPair(-1.5, -1.5, 4), gap, params07_module,
+                              [np.int64(n) for n in (4, 6, 8, 10)])[0] == fit
 
     def test_memory_does_not_grow_with_separation(self, params07_module, layout07_module):
         # the residual is closed-form in n; a scan pattern of n + 2 entries

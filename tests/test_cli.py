@@ -267,7 +267,8 @@ class TestGoldenBytes:
 
         PYTHONPATH=src python tests/test_cli.py
 
-    only when a change is meant to move CLI output."""
+    only when a change is meant to move CLI output; it prints each
+    recorded value it changes (line, field, old -> new) before writing."""
 
     def test_every_line_is_recorded(self):
         assert set(NOT_REPLAYED) <= set(readme_command_lines())
@@ -434,6 +435,10 @@ class TestOracleCommand:
 
 
 if __name__ == "__main__":
+    from recorded_changes import changes
+
     records = {line: record(line) for line in replayed_lines()}
+    old = json.loads(GOLDEN_CLI.read_text()) if GOLDEN_CLI.exists() else {}
+    print("\n".join(changes(old, records)) or "no recorded value changes")
     GOLDEN_CLI.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {GOLDEN_CLI}", file=sys.stderr)

@@ -12,6 +12,7 @@ from ringchain import (
     product_matrix,
     splitting_rate,
 )
+from ringchain.crosscheck import run_cases
 from ringchain.errors import InvalidParameter
 
 P = ChainParams.from_cos_flux(0.7, 1.0)
@@ -24,6 +25,14 @@ SITES = {
     "identical_conditions-m1": lambda: identical_conditions(0.05, 1.0, 1, P),
     "product_matrix-empty": lambda: product_matrix(0.1, [], P),
     "identical_closed_form-m0": lambda: identical_closed_form(0.1, -0.6, 0, P),
+    # (-1)^(n+1) of a fractional n is complex: no error used to stop it
+    "flat_band_eigenfunction-n2.5": lambda: flat_band_eigenfunction(2.5, ChainParams(0.3, 1.0)),
+    "flat_band_eigenfunction-n2.0": lambda: flat_band_eigenfunction(2.0, P),
+    # numpy's bare ValueError, and [] with no error
+    "run_cases-seed-negative": lambda: run_cases(seed=-1, n_cases=1),
+    "run_cases-cases-negative": lambda: run_cases(seed=0, n_cases=-2),
+    "run_cases-seed-fractional": lambda: run_cases(seed=1.5, n_cases=1),
+    "run_cases-cases-fractional": lambda: run_cases(seed=0, n_cases=1.0),
 }
 
 

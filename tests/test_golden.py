@@ -7,7 +7,8 @@ layouts and the half-integer flat-band roots.  Regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-only when a change is meant to move roots.
+only when a change is meant to move roots.  It prints each recorded value
+it changes (case, field, old -> new) before it writes the file.
 """
 
 import json
@@ -170,10 +171,18 @@ def test_corpus_covers_every_pattern_length_in_both_regimes():
     assert regimes >= {(m, nm) for m in PATTERN_LENGTHS for nm in (True, False)}
 
 
+def _entries(doc: dict) -> dict:
+    return {f"{kind}[{i}]": case for kind, cases in doc.items() for i, case in enumerate(cases)}
+
+
 if __name__ == "__main__":
+    from recorded_changes import changes
+
     doc = corpus()
     for kind, cases in doc.items():
         for case in cases:
             case["expected"] = EVALUATORS[kind](dict(case))
+    old = _golden() if GOLDEN.exists() else {}
+    print("\n".join(changes(_entries(old), _entries(doc))) or "no recorded value changes")
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -23,6 +23,7 @@ from ringchain import (
     xi_background,
 )
 from ringchain.core import c_kernel, s_kernel
+from ringchain.errors import InvalidParameter
 from ringchain.impurity import PerturbationPattern, solve_gap
 from ringchain.transfer import chebyshev_u, edge_quasiderivatives, ring_l2_norm
 from tests.test_core import coupling_for_xi
@@ -260,6 +261,18 @@ class TestVertexConditions:
         state = solve_gap(pattern, layout06.gaps[0], params06)[0]
         lat = bound_state_lattice(state.E, pattern.gammas, params06, margin=8)
         assert vertex_condition_residual(state.E, lat, pattern.gammas, params06) <= 1e-6
+
+    def test_margin_validated(self, params07, layout07):
+        # margin 0 read the still-zero last entry as psi_0 (psi_2 twice too
+        # large at this state), and margin -1 raised a bare IndexError
+        gammas = (-2.0,)
+        E = solve_gap(PerturbationPattern(gammas), layout07.gaps[0], params07)[0].E
+        for bad in (0, -1, 2.5, 1.0):
+            with pytest.raises(InvalidParameter):
+                bound_state_lattice(E, gammas, params07, margin=bad)
+        psi2 = bound_state_lattice(E, gammas, params07, margin=8).value(2)
+        assert bound_state_lattice(E, gammas, params07, margin=1).value(2) == psi2
+        assert bound_state_lattice(E, gammas, params07, margin=np.int64(3)).value(2) == psi2
 
     def test_zero_lattice_zero_residual(self, params06):
         from ringchain import LatticeSolution
