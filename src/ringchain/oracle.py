@@ -1,21 +1,24 @@
 """Independent verification by direct discretization of the chain operator.
 
 A truncated chain (Dirichlet ends) is discretized edge by edge on uniform
-grids: the gauge field enters through explicit link phases exp(+-iAh), the
-bulk uses the Numerov-weighted three-point pencil (fourth order), and each
-vertex carries the delta coupling in a lumped control-volume row (second
-order, which therefore sets the observed convergence order).  The result
-is a generalized Hermitian-definite pencil (K, M), banded with bandwidth 2
-in a position-interleaved node ordering: one ring's block of nodes (its
-left vertex, then the edges' interior points in (upper, lower) pairs),
-tiled once per ring, the Dirichlet end vertices left out.
+grids: the bulk uses the Numerov-weighted three-point pencil (fourth
+order), and each vertex carries the delta coupling in a lumped
+control-volume row (second order, which therefore sets the observed
+convergence order).  The magnetic field enters only as the flux through
+each ring: in a gauge where every edge's interior is real, and in the
+real basis of the sums and differences of a ring's two edges, the result
+is a real symmetric-definite pencil (K, M) with the flux on two links per
+ring.  It is banded with bandwidth 2 in a position-interleaved node
+ordering: one ring's block of nodes (its left vertex, then the edges'
+interior points in (sum, difference) pairs), tiled once per ring, the
+Dirichlet end vertices left out.
 
 Each window is counted exactly by the inertia of K - s*M at its ends and
-solved by shift-invert Lanczos for that many pairs, in a Krylov space of
-2k+1 vectors, sliced at inertia-counted midpoints where one call cannot
-resolve it (spectrum slicing).  The pencil is 2R identical edge blocks
-joined at R - 1 vertices, and both factorizations use that: the count
-eliminates the edges (one scalar pivot loop per shift), and the
+solved by shift-invert symmetric Lanczos for that many pairs, in a Krylov
+space of 2k+1 vectors, sliced at inertia-counted midpoints where one call
+cannot resolve it (spectrum slicing).  The pencil is 2R identical edge
+blocks joined at R - 1 vertices, and both factorizations use that: the
+count eliminates the edges (one scalar pivot loop per shift), and the
 shift-invert operator is a LAPACK band LU of K - sigma*M.  A
 `DiscreteOperator` is built from its (chain, pattern) pair alone, so no
 other pencil can reach the count.
@@ -41,7 +44,7 @@ import numpy as np
 # unused here, but perfbench/tracing.py looks up sys.modules["scipy.optimize"]
 import scipy.optimize  # noqa: F401
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .core import ChainParams
 from .errors import DimensionOverflow, FitFailed, InvalidParameter, SolverNoConvergence, require_integer
@@ -93,17 +96,27 @@ _built = functools.partial(field, init=False, compare=False, repr=False)
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Banded Hermitian-definite pencil (K, M) of `chain` with the centered
-    perturbation `gammas`; eigenvalues of K u = E M u approximate the chain
-    spectrum.
+    """Banded real symmetric-definite pencil (K, M) of `chain` with the
+    centered perturbation `gammas`; eigenvalues of K u = E M u approximate
+    the chain spectrum.
 
-    The six bands are built from (chain, gammas) alone, so the pencil is
-    always its chain's: 2R identical edge blocks joined at R - 1 vertices.
-    Node ordering: one ring's block of 2I+1 nodes, its left vertex then
-    interleaved (upper_i, lower_i) pairs, tiled R times, so ring r occupies
-    [r*(2I+1) - 1, (r+1)*(2I+1) - 1); ring 0's left vertex and the right
-    end vertex are Dirichlet and carry no node.  Raises DimensionOverflow
-    above MAX_DIM nodes.
+    The pencil is the magnetic one in a real basis.  With omega = e^{iAh},
+    the gauge multiplies upper_i by conj(omega)^i and lower_i by omega^i,
+    which makes every edge's interior real, and each pair of interior points
+    becomes s_i = (upper_i + lower_i)/sqrt(2) and t_i = i(upper_i -
+    lower_i)/sqrt(2).  Interior links are c = -1/h in K and h/12 in M; a
+    vertex links to s_1 by sqrt(2) c and to t_1 not at all, and the flux
+    enters only on the links of s_I and t_I to the next vertex, sqrt(2) c
+    cos(A pi) and sqrt(2) c sin(A pi).  The diagonals are the magnetic
+    pencil's.
+
+    The six float64 bands are built from (chain, gammas) alone, so the
+    pencil is always its chain's: 2R identical edge blocks joined at R - 1
+    vertices.  Node ordering: one ring's block of 2I+1 nodes, its left
+    vertex then interleaved (s_i, t_i) pairs, tiled R times, so ring r
+    occupies [r*(2I+1) - 1, (r+1)*(2I+1) - 1); ring 0's left vertex and the
+    right end vertex are Dirichlet and carry no node.  Raises
+    DimensionOverflow above MAX_DIM nodes.
 
     Frozen, with read-only arrays, because `assemble` shares it.  The bands
     are its only copy of the pencil.  It keeps the windows `spectrum_window`
@@ -112,7 +125,7 @@ class DiscreteOperator:
 
     chain: TruncatedChain
     gammas: tuple[float, ...]
-    kd: np.ndarray = _built()   # K diagonal (real parts only are nonzero)
+    kd: np.ndarray = _built()   # K diagonal
     k1: np.ndarray = _built()   # K[i, i+1]
     k2: np.ndarray = _built()   # K[i, i+2]
     md: np.ndarray = _built()
@@ -131,21 +144,19 @@ class DiscreteOperator:
         n, h, R, I = chain.dim, chain.h, chain.n_rings, chain.points_per_edge - 1
         block = 2 * I + 1
 
-        # one ring's block: its left vertex v, then (upper_i, lower_i) pairs.
-        # Band 1 links v to upper_1 and lower_I to the next vertex; band 2
-        # links v to lower_1, upper_i onward (odd rows) and lower_i to
-        # lower_i+1 (even rows).  Each grid link adds 1/h to both endpoint
-        # diagonals of K and 5h/12 to both of M, one term at a time: four at
-        # v, two (the Numerov weights) elsewhere.
-        k1, m1, k2, m2 = np.zeros((4, block), dtype=complex)
-        A = chain.params.A
-        phase_up = complex(math.cos(A * h), math.sin(A * h))     # multiplies u_{i+1} on upper edges
-        for omega, row1, rows2 in ((phase_up, 0, slice(1, None, 2)), (np.conj(phase_up), -1, slice(0, -1, 2))):
-            k_link, m_link = -omega / h, omega * h / 12.0
-            k1[row1] += k_link
-            m1[row1] += m_link
-            k2[rows2] += k_link
-            m2[rows2] += m_link
+        # one ring's block: its left vertex v, then (s_i, t_i) pairs.  Band 1
+        # links v to s_1 and t_I to the next vertex; band 2 links s_i onward
+        # (odd rows, s_I to the next vertex) and t_i to t_i+1 (even rows but
+        # the first, v to t_1, and the last, t_I to the next ring's s_1, which
+        # stay 0).  Each grid link adds 1/h to both endpoint diagonals of K
+        # and 5h/12 to both of M, one term at a time: four at v, two (the
+        # Numerov weights) elsewhere.
+        k1, m1, k2, m2 = np.zeros((4, block))
+        flux = chain.params.flux_phase
+        for b1, b2, link in ((k1, k2, -1.0 / h), (m1, m2, h / 12.0)):
+            edge = math.sqrt(2.0) * link
+            b2[1:-1] = link
+            b1[0], b2[-2], b1[-1] = edge, edge * flux.real, edge * flux.imag
         x, w = 1.0 / h, 5.0 * h / 12.0
         kd, md = np.full(block, x + x), np.full(block, w + w)
         kd[0], md[0] = x + x + x + x, w + w + w + w
@@ -177,12 +188,17 @@ class DiscreteOperator:
     @functools.cached_property
     def _edges(self):
         """What `eigen_count` reads of the pencil: the edge diagonal (kd,
-        md), the upper-edge link (k, m), the squared real part of the ring
-        phase (the product of the link phases along an edge) and the vertex
-        diagonals."""
-        kd, md, k, m = float(self.kd[0]), float(self.md[0]), complex(self.k2[0]), complex(self.m2[0])
-        ring2 = (((k / abs(k)) ** self.chain.points_per_edge).real) ** 2
-        return kd, md, k, m, ring2, self.kd[self.vertex_nodes].tolist(), self.md[self.vertex_nodes].tolist()
+        md), the interior link (k, m), cos^2(A pi) and the vertex diagonals.
+        cos(A pi) is the ratio of a vertex's two links into the s chains: from
+        s_I of the ring before it, sqrt(2) c cos(A pi), and to s_1, sqrt(2) c
+        (0 without vertices, where nothing reads it)."""
+        kd, md, k, m = float(self.kd[0]), float(self.md[0]), float(self.k2[0]), float(self.m2[0])
+        vk, vm = self.kd[self.vertex_nodes].tolist(), self.md[self.vertex_nodes].tolist()
+        ring2 = 0.0
+        if vk:
+            v = self.vertex_nodes[0]
+            ring2 = (float(self.k2[v - 2]) / float(self.k1[v])) ** 2
+        return kd, md, k, m, ring2, vk, vm
 
 
 def assemble(chain: TruncatedChain, gammas: Sequence[float]) -> DiscreteOperator:
@@ -203,22 +219,24 @@ def eigen_count(op: DiscreteOperator, s: float) -> int:
     eliminating the edges (E. V. Haynsworth, Linear Algebra Appl. 1 (1968)
     73).
 
-    Every edge's interior block of K - s*M is, up to a diagonal unitary
-    gauge, one real tridiagonal Toeplitz matrix T with diagonal d and
-    off-diagonal b = |link|.  Eliminating the 2R edges leaves a tridiagonal
-    Schur complement S on the R - 1 vertices, and nu(K - s*M) = 2R nu(T)
-    + nu(S).  One LDL^T pivot loop over T gives nu(T), (T^-1)_11 (the
-    inverse of its last pivot, T being persymmetric) and (T^-1)_1I, which
-    couples the two ends of an edge.  S_jj is the vertex diagonal less
-    b^2 (T^-1)_11 for each of the four edge ends there, and
-    |S_j,j+1|^2 = (2 Re(omega^M) b^2 (T^-1)_1I)^2, omega^M being the ring
-    phase; the vertex pivots q_j = S_jj - |S_j-1,j|^2 / q_j-1 give nu(S).
+    Every s and t chain of K - s*M is one real tridiagonal Toeplitz matrix
+    T with diagonal d and off-diagonal b, the interior link.  Eliminating
+    the 2R chains leaves a tridiagonal Schur complement S on the R - 1
+    vertices, and nu(K - s*M) = 2R nu(T) + nu(S).  One LDL^T pivot loop
+    over T gives nu(T), (T^-1)_11 (the inverse of its last pivot, T being
+    persymmetric) and (T^-1)_1I, which couples the two ends of a chain.
+    A vertex links by sqrt(2) b to s_1 on its right, and by sqrt(2) b
+    cos(A pi) and sqrt(2) b sin(A pi) to s_I and t_I on its left, so S_jj
+    is the vertex diagonal less 4 b^2 (T^-1)_11, and S_j,j+1^2 =
+    (2 cos(A pi) b^2 (T^-1)_1I)^2; the vertex pivots q_j = S_jj -
+    S_j-1,j^2 / q_j-1 give nu(S).
 
     Raises SolverNoConvergence where a zero pivot, an overflow or a NaN (a
     non-finite s) voids the count."""
     kd, md, k, m, ring2, vk, vm = op._edges
     s = float(s)    # a numpy float would make every pivot a numpy scalar, at half the speed
-    d, b2 = kd - s * md, abs(k - s * m) ** 2
+    d, b = kd - s * md, k - s * m
+    b2 = b * b
     try:
         t, ends = d, 1.0      # ends: ((T^-1)_1I t_I)^2, a product of (b/t_i)^2
         edge = 0
@@ -228,7 +246,7 @@ def eigen_count(op: DiscreteOperator, s: float) -> int:
             t = d - b2 / t
         edge += t < 0.0
         end = 4.0 * b2 / t                                   # four edge ends at each vertex
-        couple = 4.0 * ring2 * b2 * b2 * ends / (t * t)       # |S_j,j+1|^2
+        couple = 4.0 * ring2 * b2 * b2 * ends / (t * t)       # S_j,j+1^2
         vertex, q = 0, math.inf     # the first vertex has no coupling above it
         for kv, mv in zip(vk, vm):
             q = kv - s * mv - end - couple / q
@@ -241,31 +259,30 @@ def eigen_count(op: DiscreteOperator, s: float) -> int:
 
 
 def _band_lu(op: DiscreteOperator, sigma: float):
-    """LAPACK's band LU of K - sigma*M (zgbtrf, kl = ku = 2), built straight
-    from the six bands: the factor and its pivots, for zgbtrs."""
+    """LAPACK's band LU of K - sigma*M (dgbtrf, kl = ku = 2), built straight
+    from the six bands: the factor and its pivots, for dgbtrs."""
     a1, a2 = op.k1 - sigma * op.m1, op.k2 - sigma * op.m2
-    ab = np.zeros((7, op.dim), dtype=complex)     # rows 0-1: the LU's fill-in
+    ab = np.zeros((7, op.dim))     # rows 0-1: the LU's fill-in
     ab[2, 2:], ab[3, 1:], ab[4] = a2, a1, op.kd - sigma * op.md
-    ab[5, :-1], ab[6, :-2] = a1.conj(), a2.conj()
-    lu, piv, info = zgbtrf(ab, 2, 2, overwrite_ab=True)
+    ab[5, :-1], ab[6, :-2] = a1, a2
+    lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
     if info > 0:
         raise SolverNoConvergence(f"K - {sigma}*M is singular")
     return lu, piv
 
 
 def _mass_operator(op: DiscreteOperator) -> spla.LinearOperator:
-    """M as ARPACK applies it: md on the diagonal, m1 and m2 above, their conjugates below."""
-    bands = [(k, o, o.conj()) for k, o in ((1, op.m1), (2, op.m2))]
+    """M as ARPACK applies it: md on the diagonal, m1 and m2 above and below."""
 
     def matvec(x):
         x = x.ravel()
-        y = np.multiply(op.md, x, dtype=complex)
-        for k, above, below in bands:
-            y[:-k] += above * x[k:]
-            y[k:] += below * x[:-k]
+        y = op.md * x
+        for k, band in ((1, op.m1), (2, op.m2)):
+            y[:-k] += band * x[k:]
+            y[k:] += band * x[:-k]
         return y
 
-    return spla.LinearOperator((op.dim, op.dim), matvec=matvec, dtype=complex)
+    return spla.LinearOperator((op.dim, op.dim), matvec=matvec, dtype=float)
 
 
 def _slices(op, v0, lo, n_lo, hi, n_hi):
@@ -274,13 +291,12 @@ def _slices(op, v0, lo, n_lo, hi, n_hi):
     spectrum_window."""
     dim, count, center = op.dim, n_hi - n_lo, 0.5 * (lo + hi)
     if count == 0:
-        return [(np.empty(0), np.empty((dim, 0), dtype=complex))]
+        return [(np.empty(0), np.empty((dim, 0)))]
     if count < dim - 1:
-        # a shift-invert operator whose factor is dropped on return: eigsh's
-        # iteration state is a reference cycle, and would keep the factor
-        # alive until the cyclic collector runs
+        # a real pencil, so eigsh runs ARPACK's symmetric driver, whose
+        # iteration state (and with it the factor) is freed on return
         lu, piv = _band_lu(op, center)
-        OPinv = spla.LinearOperator((dim, dim), matvec=lambda x: zgbtrs(lu, 2, 2, x, piv)[0], dtype=complex)
+        OPinv = spla.LinearOperator((dim, dim), matvec=lambda x: dgbtrs(lu, 2, 2, x, piv)[0], dtype=float)
         M = _mass_operator(op)
         try:
             # shift-invert through OPinv never applies K, and reads only the
@@ -293,20 +309,28 @@ def _slices(op, v0, lo, n_lo, hi, n_hi):
             if np.count_nonzero((vals > lo) & (vals < hi)) == count:
                 order = np.argsort(vals)
                 return [(vals[order], vecs[:, order])]
-        finally:
-            del lu
     if hi - lo < ARPACK_TOL * max(1.0, abs(center)):
         raise SolverNoConvergence(f"ARPACK cannot resolve the {count} eigenvalues in ({lo}, {hi})")
     n_mid = eigen_count(op, center)
     return _slices(op, v0, lo, n_lo, center, n_mid) + _slices(op, v0, center, n_mid, hi, n_hi)
 
 
+@functools.lru_cache(maxsize=ASSEMBLE_CACHE)
+def _start_vector(dim: int) -> np.ndarray:
+    """ARPACK's start vector for a pencil of dimension dim, read-only (ARPACK
+    copies it): fixed, so repeated solves agree to the last bit; random,
+    since a constant one is parity-even and starves the odd states."""
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    v0.flags.writeable = False
+    return v0
+
+
 def spectrum_window(op: DiscreteOperator, lo: float, hi: float):
     """All pencil eigenvalues in (lo, hi), ascending, with eigenvectors.
 
     The window is counted by inertia (`eigen_count` at both ends) and
-    solved by shift-invert Lanczos at its center, through a band LU of
-    K - center*M, for exactly that many eigenpairs k, which are the
+    solved by shift-invert symmetric Lanczos at its center, through a band
+    LU of K - center*M, for exactly that many eigenpairs k, which are the
     window's since it is symmetric about the shift.  ARPACK gets
     ncv = 2k+1 Lanczos vectors (its own rule, without scipy's floor of
     20): the centered shift makes the k wanted pairs dominant, so few
@@ -324,10 +348,7 @@ def spectrum_window(op: DiscreteOperator, lo: float, hi: float):
         raise InvalidParameter(f"window needs finite ends with lo <= hi, not ({lo}, {hi})")
     if (lo, hi) in op._windows:
         return op._windows[lo, hi]
-    # a fixed start vector, so repeated solves agree to the last bit; random,
-    # since a constant one is parity-even and starves the odd states
-    v0 = np.random.default_rng(0).standard_normal(op.dim)
-
+    v0 = _start_vector(op.dim)
     vals, vecs = zip(*_slices(op, v0, lo, eigen_count(op, lo), hi, eigen_count(op, hi)))
     vals, vecs = np.concatenate(vals), np.hstack(vecs)
     vals.flags.writeable = vecs.flags.writeable = False
@@ -344,14 +365,14 @@ def localization_scores(op: DiscreteOperator, vecs: np.ndarray) -> np.ndarray:
     Scores above EDGE_SCORE identify states manufactured by the Dirichlet
     truncation rather than by the perturbation.
     """
-    weights = np.abs(vecs) ** 2 * op.md.real[:, None]
+    weights = np.abs(vecs) ** 2 * op.md[:, None]
     outer = (op.ring_of_node <= 1) | (op.ring_of_node >= op.chain.n_rings - 2)
     return weights[outer].sum(axis=0) / weights.sum(axis=0)
 
 
 def eigenvector_ring_norms(op: DiscreteOperator, vec: np.ndarray) -> np.ndarray:
     """Measure-weighted mass per ring (decay diagnostics)."""
-    w = np.abs(vec) ** 2 * op.md.real
+    w = np.abs(vec) ** 2 * op.md
     return np.sqrt(np.bincount(op.ring_of_node, weights=w, minlength=op.chain.n_rings))
 
 
@@ -388,9 +409,19 @@ def _window_state(op: DiscreteOperator, lo: float, hi: float, near: float) -> fl
 
 def richardson_limit(h_list: Sequence[float], values: Sequence[float]) -> float:
     """Limit h -> 0 by staged extrapolation of the error series starting
-    at h^2, raising the eliminated exponent by one per stage."""
+    at h^2, raising the eliminated exponent by one per stage.
+
+    Raises InvalidParameter when the two lists differ in length or a step
+    is not finite and > 0, and FitFailed for fewer than 2 values or a
+    repeated step, where a stage would divide by r - 1 = 0."""
     hs = np.asarray(h_list, dtype=float)
     vs = np.asarray(values, dtype=float)
+    if hs.shape != vs.shape:
+        raise InvalidParameter(f"{len(hs)} steps for {len(vs)} values")
+    if not np.all(np.isfinite(hs) & (hs > 0.0)):
+        raise InvalidParameter(f"steps must be finite and > 0, not {hs.tolist()}")
+    if len(hs) < 2 or len(np.unique(hs)) < len(hs):
+        raise FitFailed(f"need at least 2 distinct steps, not {hs.tolist()}")
     order = np.argsort(hs)[::-1]  # coarse -> fine
     level = vs[order].tolist()
     step = hs[order].tolist()

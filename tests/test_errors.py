@@ -1,4 +1,5 @@
-"""Input checks raise the typed InvalidParameter, which is a ValueError."""
+"""Input checks raise the typed InvalidParameter, which is a ValueError,
+and a fit that its inputs cannot support raises FitFailed."""
 
 import pytest
 
@@ -13,7 +14,8 @@ from ringchain import (
     splitting_rate,
 )
 from ringchain.crosscheck import run_cases
-from ringchain.errors import InvalidParameter
+from ringchain.errors import FitFailed, InvalidParameter
+from ringchain.oracle import richardson_limit
 
 P = ChainParams.from_cos_flux(0.7, 1.0)
 
@@ -33,6 +35,20 @@ SITES = {
     "run_cases-cases-negative": lambda: run_cases(seed=0, n_cases=-2),
     "run_cases-seed-fractional": lambda: run_cases(seed=1.5, n_cases=1),
     "run_cases-cases-fractional": lambda: run_cases(seed=0, n_cases=1.0),
+    # a bare IndexError, and limits from steps that are no grid spacing
+    "richardson_limit-lengths": lambda: richardson_limit([0.4, 0.2, 0.1], [1.0, 1.1]),
+    "richardson_limit-step-zero": lambda: richardson_limit([0.2, 0.0], [1.0, 1.1]),
+    "richardson_limit-step-negative": lambda: richardson_limit([0.2, -0.1], [1.0, 1.1]),
+    "richardson_limit-step-nan": lambda: richardson_limit([0.2, float("nan")], [1.0, 1.1]),
+    "richardson_limit-step-inf": lambda: richardson_limit([float("inf"), 0.1], [1.0, 1.1]),
+}
+
+FIT_SITES = {
+    # a bare ZeroDivisionError, a bare IndexError, and a "limit" of one value
+    "richardson_limit-repeated-step": lambda: richardson_limit([0.1, 0.1], [1.0, 1.1]),
+    "richardson_limit-repeated-step-of-three": lambda: richardson_limit([0.2, 0.1, 0.2], [1.0, 1.1, 1.0]),
+    "richardson_limit-empty": lambda: richardson_limit([], []),
+    "richardson_limit-one-value": lambda: richardson_limit([0.1], [1.0]),
 }
 
 
@@ -43,4 +59,10 @@ def test_invalid_parameter_is_a_value_error():
 @pytest.mark.parametrize("call", SITES.values(), ids=SITES.keys())
 def test_input_check_raises_invalid_parameter(call):
     with pytest.raises(InvalidParameter):
+        call()
+
+
+@pytest.mark.parametrize("call", FIT_SITES.values(), ids=FIT_SITES.keys())
+def test_unsupported_fit_raises_fit_failed(call):
+    with pytest.raises(FitFailed):
         call()

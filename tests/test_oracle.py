@@ -1,10 +1,13 @@
 import dataclasses
+import gc
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from ringchain import (
     ChainParams,
@@ -42,16 +45,17 @@ def _csc(d, o1, o2):
 
 
 def _sparse_pencil(op):
-    """K and M as CSC matrices, built from the operator's six bands."""
+    """K and M as CSC matrices, built from the six bands of an operator or
+    of a reference."""
     return _csc(op.kd, op.k1, op.k2), _csc(op.md, op.m1, op.m2)
 
 
 class TestAssembly:
-    def test_hermitian(self, p06):
+    def test_real_symmetric(self, p06):
         op = assemble(TruncatedChain(9, 64, p06), [-1.5])
+        assert all(getattr(op, name).dtype == np.float64 for name in ("kd", "k1", "k2", "md", "m1", "m2"))
         K, M = (X.toarray() for X in _sparse_pencil(op))
-        assert np.abs(K - K.conj().T).max() <= 1e-12
-        assert np.abs(M - M.conj().T).max() <= 1e-12
+        assert np.array_equal(K, K.T) and np.array_equal(M, M.T)
 
     def test_mass_positive_definite(self, p06):
         op = assemble(TruncatedChain(9, 64, p06), [0.0])
@@ -124,8 +128,46 @@ class TestAssembly:
 
 
 def _assemble_reference(chain, gammas):
-    """The original per-link assembly loop, kept as a reference for the
-    array build: every grid link adds its terms one at a time."""
+    """The real pencil link by link, kept as a reference for the array
+    build.  Every grid link adds its diagonal terms one at a time, and one
+    off-diagonal term: c = -1/h in K and h/12 in M inside an edge, sqrt(2)
+    times that from a vertex to s_1 (upper slots), nothing to t_1 (lower
+    slots), and sqrt(2) cos(A pi) and sqrt(2) sin(A pi) times it from s_I
+    and t_I to the next vertex."""
+    n, h = chain.dim, chain.h
+    I = chain.points_per_edge - 1
+    block = 2 * I + 1
+    kd, md = np.zeros(n), np.zeros(n)
+    k1, m1, k2, m2 = np.zeros(n - 1), np.zeros(n - 1), np.zeros(n - 2), np.zeros(n - 2)
+    flux = chain.params.flux_phase
+    for ring in range(chain.n_rings):
+        for lower in (False, True):
+            base = ring * block - 1
+            left = base if ring >= 1 else -1
+            right = base + block if ring <= chain.n_rings - 2 else -1
+            nodes = [left] + [base + 1 + 2 * i + (1 if lower else 0) for i in range(I)] + [right]
+            for j, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
+                for node in (a, b):
+                    if node >= 0:
+                        kd[node] += 1.0 / h
+                        md[node] += 5.0 * h / 12.0
+                if a < 0 or b < 0 or (lower and j == 0):
+                    continue
+                off = b - a
+                assert off in (1, 2)
+                for band1, band2, link in ((k1, k2, -1.0 / h), (m1, m2, h / 12.0)):
+                    if j == 0:
+                        link = math.sqrt(2.0) * link
+                    elif j == I:
+                        link = math.sqrt(2.0) * link * (flux.imag if lower else flux.real)
+                    (band1 if off == 1 else band2)[a] += link
+    return _with_vertices(chain, gammas, dict(kd=kd, k1=k1, k2=k2, md=md, m1=m1, m2=m2))
+
+
+def _complex_reference(chain, gammas):
+    """The magnetic pencil link by link, with the phase exp(+-iAh) on every
+    grid link of the upper (lower) edges: the pencil before the gauge and
+    the real basis, kept as the independent check of both."""
     n, h = chain.dim, chain.h
     I = chain.points_per_edge - 1
     block = 2 * I + 1
@@ -151,23 +193,49 @@ def _assemble_reference(chain, gammas):
                     assert off in (1, 2)
                     (k1 if off == 1 else k2)[a] += -omega / h
                     (m1 if off == 1 else m2)[a] += omega * h / 12.0
+    return _with_vertices(chain, gammas, dict(kd=kd, k1=k1, k2=k2, md=md, m1=m1, m2=m2))
+
+
+def _with_vertices(chain, gammas, bands):
+    """The bands with the vertex couplings added, and the node maps."""
+    n, block = chain.dim, 2 * chain.points_per_edge - 1
     start = chain.pattern_start(len(gammas))
     vertex_nodes = np.array([v * block - 1 for v in range(1, chain.n_rings)])
     for v, node in enumerate(vertex_nodes, start=1):
         coupling = chain.params.alpha
         if start <= v < start + len(gammas):
             coupling += gammas[v - start]
-        kd[node] += coupling
+        bands["kd"][node] += coupling
     ring_of_node = np.empty(n, dtype=int)
     for ring in range(chain.n_rings):
         ring_of_node[max(ring * block - 1, 0):min((ring + 1) * block - 1, n)] = ring
-    return dict(kd=kd, k1=k1, k2=k2, md=md, m1=m1, m2=m2,
-                vertex_nodes=vertex_nodes, ring_of_node=ring_of_node)
+    return SimpleNamespace(**bands, vertex_nodes=vertex_nodes, ring_of_node=ring_of_node)
+
+
+def _rotation(chain):
+    """Q with the real pencil = Q^H (complex pencil) Q: column s_i (upper
+    slot) is (conj(omega)^i e_upper_i + omega^i e_lower_i)/sqrt(2), column
+    t_i (lower slot) i (conj(omega)^i e_upper_i - omega^i e_lower_i)/sqrt(2),
+    with omega = exp(iAh); a vertex column is its unit vector."""
+    n, I = chain.dim, chain.points_per_edge - 1
+    block = 2 * I + 1
+    rows, cols, vals = [], [], []
+    for ring in range(chain.n_rings):
+        base = ring * block - 1
+        if ring >= 1:
+            rows.append(base), cols.append(base), vals.append(1.0)
+        for i in range(1, I + 1):
+            upper, lower = base + 2 * i - 1, base + 2 * i
+            omega = np.exp(1j * chain.params.A * chain.h * i) / math.sqrt(2.0)
+            rows += [upper, lower, upper, lower]
+            cols += [upper, upper, lower, lower]
+            vals += [np.conj(omega), omega, 1j * np.conj(omega), -1j * omega]
+    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def _assert_matches_reference(chain, gammas):
     op = assemble(chain, gammas)
-    for name, want in _assemble_reference(chain, gammas).items():
+    for name, want in vars(_assemble_reference(chain, gammas)).items():
         got = getattr(op, name)
         # the reference's vertex list of a 1-ring chain is np.array([]), a float array
         assert got.dtype == want.dtype or want.size == 0, name
@@ -193,11 +261,31 @@ class TestAssemblyBitIdentity:
         _assert_matches_reference(TruncatedChain(1, 64, p06), ())
 
 
+class TestRealBasis:
+    """The real bands against the magnetic pencil of the complex per-link
+    reference, rotated by Q, as sparse matrices: a dense one at the
+    benchmark chain's dim 12,774 would take 2.6 GB."""
+
+    @pytest.mark.parametrize("cos_flux", [0.7, 1.0, -1.0])
+    @pytest.mark.parametrize("rings, M, gammas", [(25, 256, (-1.5, 0.75, -2.0)), (1, 64, ())],
+                             ids=["benchmark", "one-ring"])
+    def test_bands_are_the_rotated_complex_pencil(self, rings, M, gammas, cos_flux):
+        chain = TruncatedChain(rings, M, ChainParams.from_cos_flux(cos_flux, 1.0))
+        op, ref, Q = assemble(chain, gammas), _complex_reference(chain, gammas), _rotation(chain)
+        for got, want in zip(_sparse_pencil(op), _sparse_pencil(ref)):
+            rotated = Q.conj().T @ want @ Q
+            assert scipy.sparse.linalg.norm(rotated - got) <= 1e-14 * scipy.sparse.linalg.norm(want)
+
+    def test_dense_spectra_agree(self, dense_pencil):
+        op, vals = dense_pencil
+        want = _dense_spectrum(_complex_reference(op.chain, op.gammas))
+        assert np.all(np.abs(vals - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
 class TestBandProducts:
     """What ARPACK is given: M applied from the operator's bands, against
-    the mass matrix of the per-link reference loop.  The reference is a
-    CSC matrix, since a dense one at the benchmark chain's dim 12,774
-    would take 2.6 GB."""
+    the mass matrix of the complex per-link reference, rotated to the real
+    basis (see TestRealBasis)."""
 
     @pytest.mark.parametrize("rings, M, gammas", [(25, 256, (-1.5, 0.75, -2.0)), (1, 64, ())],
                              ids=["benchmark", "one-ring"])
@@ -205,11 +293,12 @@ class TestBandProducts:
         from ringchain.oracle import _mass_operator
 
         chain = TruncatedChain(rings, M, p06)
-        op, ref = assemble(chain, gammas), _assemble_reference(chain, gammas)
+        op, ref, Q = assemble(chain, gammas), _complex_reference(chain, gammas), _rotation(chain)
         rng = np.random.default_rng([rings, M])
-        got, want = _mass_operator(op), _csc(ref["md"], ref["m1"], ref["m2"])
+        got, want = _mass_operator(op), Q.conj().T @ _sparse_pencil(ref)[1] @ Q
+        assert got.dtype == np.float64
         for _ in range(3):
-            x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+            x = rng.standard_normal(op.dim)
             y = want @ x
             assert np.linalg.norm(got @ x - y) <= 1e-14 * np.linalg.norm(y)
 
@@ -233,8 +322,8 @@ class TestBandProducts:
 
 
 def _dense_spectrum(op):
-    """Every pencil eigenvalue from dense LAPACK, the reference for the
-    sparse path."""
+    """Every pencil eigenvalue, of an operator or of a reference, from
+    dense LAPACK: the reference for the sparse path."""
     K, M = (X.toarray() for X in _sparse_pencil(op))
     if not (K.imag.any() or M.imag.any()):   # a real pencil solves about 5x faster
         K, M = K.real, M.real
@@ -251,8 +340,8 @@ RESOLVED = 1e-10   # no dense eigenvalue is this close to a tested shift
 )
 def dense_pencil(request):
     """A seeded pencil with its dense spectrum: magnetic dim 1252, cos = -1
-    dim 1252, cos = +1 dim 1610 (a dense complex eigh at dim 2920 takes
-    about 40 s, so these stay small)."""
+    dim 1252, cos = +1 dim 1610 (a dense complex eigh of the magnetic
+    reference at dim 2920 takes about 40 s, so these stay small)."""
     cos_flux, n_rings, M = request.param
     rng = np.random.default_rng(int(1000 * (cos_flux + 2)))
     params = ChainParams.from_cos_flux(cos_flux, float(rng.uniform(-3.0, 3.0)))
@@ -351,18 +440,19 @@ class TestInertiaCount:
         # at E = 4, where K - sigma*M is near singular, its backward error
         # stays at 1e-12 of |K - sigma*M| |x|
         import scipy.sparse.linalg as spla
-        from scipy.linalg.lapack import zgbtrs
+        from scipy.linalg.lapack import dgbtrs
 
         from ringchain.oracle import _band_lu
 
         op, vals = dense_pencil
         K, M = _sparse_pencil(op)
         rng = np.random.default_rng(op.dim)
-        b = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        b = rng.standard_normal(op.dim)
         i = int(np.argmax(np.diff(vals[vals < 20.0])))
         for sigma, near_singular in ((0.5 * (vals[i] + vals[i + 1]), False), (_cluster(vals, 4.0).max() + 1e-6, True)):
             lu, piv = _band_lu(op, sigma)
-            x, info = zgbtrs(lu, 2, 2, b, piv)
+            assert lu.dtype == np.float64
+            x, info = dgbtrs(lu, 2, 2, b, piv)
             A = K - sigma * M
             scale = spla.norm(A, 1) * np.linalg.norm(x) if near_singular else np.linalg.norm(b)
             assert info == 0
@@ -428,6 +518,29 @@ class TestSpectra:
         (v1, _), (v2, _) = (spectrum_window(o, -3.0, 0.5) for o in (op, dataclasses.replace(op)))
         assert v1 is not v2
         assert len(v1) > 0 and np.array_equal(v1, v2)
+
+    def test_window_solve_leaves_no_cycle(self, p06):
+        # ARPACK's symmetric driver keeps no reference cycle: everything a
+        # solve allocates (its work arrays, the factor, M's operator) is
+        # freed on return, not when the cyclic collector next runs
+        op = DiscreteOperator(TruncatedChain(9, 64, p06), (-1.5,))
+        gc.collect()
+        gc.disable()
+        try:
+            vals, _ = spectrum_window(op, -3.0, 0.5)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert 0 < len(vals) < op.dim - 1
+        assert unreachable == 0
+
+    def test_start_vector_is_shared_and_read_only(self, p06):
+        from ringchain.oracle import _start_vector
+
+        op = assemble(TruncatedChain(9, 64, p06), [0.0])
+        v0 = _start_vector(op.dim)
+        assert _start_vector(op.dim) is v0 and not v0.flags.writeable
+        assert np.array_equal(v0, np.random.default_rng(0).standard_normal(op.dim))
 
     def test_few_eigenvalue_windows(self, dense_pencil):
         # ARPACK gets 2k+1 Lanczos vectors for k pairs; the hardest windows
