@@ -205,6 +205,7 @@ def distant_solve(
     the two branches are solved separately, which keeps exponentially close
     pairs resolvable.  Unequal strengths use a direct sign scan.
     """
+    gap_index = require_integer(gap_index, 0, "gap_index")
     # the gap-0 scan floor reads only min(0, gammas), the same for the two
     # strengths as for pair.pattern(), whose n + 2 entries cost memory in n
     grid, _ = gap_scan_grids([gap], PerturbationPattern((pair.gamma1, pair.gamma2)), params, SCAN_POINTS)

@@ -102,7 +102,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigError(f"sweep needs finite lo, hi and step: {text!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("sweep needs step > 0 and hi >= lo")
-    n = round(min((hi - lo) / step, MAX_SWEEP_POINTS))   # the quotient may be inf
+    # the most steps within hi, forgiving rounding (the quotient may be inf)
+    n = math.floor(min((hi - lo) / step, MAX_SWEEP_POINTS) + 1e-9)
     if n >= MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep has more than {MAX_SWEEP_POINTS} points: {text!r}")
     return lo + step * np.arange(n + 1)

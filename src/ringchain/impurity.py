@@ -166,11 +166,12 @@ def solve_gaps(pattern: PerturbationPattern, gaps: Sequence[tuple[float, float]]
                gap_index: int = 0, tol_root: float = 1e-13, grid_points: int = GRID_POINTS,
                edge_margin: float = EDGE_DISCARD) -> list[ImpurityState]:
     """All characteristic-equation roots strictly inside each of the ascending, disjoint
-    gap pieces, numbered from gap_index on.  One build of all the pieces' grids (grid_points,
+    gap pieces, numbered from gap_index (an integer >= 0) on.  One build of all the pieces' grids (grid_points,
     an integer >= 2, per piece) and one find_roots on char_residual over them, with the
     pieces' ends and batch_residual: the roots are those of a piece-by-piece find_roots,
     bit for bit.  Roots within edge_margin (>= 0) of a gap edge are discarded; grid points
     spilling past a stored gap edge (band-edge root tolerance) into the band scan as NaN."""
+    gap_index = require_integer(gap_index, 0, "gap_index")
     grid_points = require_integer(grid_points, 2, "grid_points")
     if not 0.0 < tol_root < math.inf:
         raise InvalidParameter(f"tol_root must be finite and > 0, got {tol_root}")

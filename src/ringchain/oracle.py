@@ -18,10 +18,10 @@ solved by shift-invert symmetric Lanczos for that many pairs, in a Krylov
 space of 2k+1 vectors, sliced at inertia-counted midpoints where one call
 cannot resolve it (spectrum slicing).  The pencil is 2R identical edge
 blocks joined at R - 1 vertices, and both factorizations use that: the
-count eliminates the edges (one scalar pivot loop per shift), and the
-shift-invert operator is a LAPACK band LU of K - sigma*M.  A
-`DiscreteOperator` is built from its (chain, pattern) pair alone, so no
-other pencil can reach the count.
+count eliminates the edges in closed form (O(R) per shift at any grid
+size), and the shift-invert operator is a LAPACK band LU of K - sigma*M.
+A `DiscreteOperator` is built from its (chain, pattern) pair alone, and
+the count reads only that pair, so no other pencil can reach it.
 
 Work is done once: `assemble` shares operators over a small LRU of
 (chain, pattern) pairs, each keeping every window it has solved.  The
@@ -131,8 +131,6 @@ class DiscreteOperator:
     md: np.ndarray = _built()
     m1: np.ndarray = _built()
     m2: np.ndarray = _built()
-    vertex_nodes: np.ndarray = _built()   # global node index of interior vertex j (1..R-1)
-    ring_of_node: np.ndarray = _built()   # ring index 0..R-1 for every node
     _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -167,38 +165,19 @@ class DiscreteOperator:
         k1, m1 = np.tile(k1, R)[1:n], np.tile(m1, R)[1:n]
         k2, m2 = np.tile(k2, R)[1:n - 1], np.tile(m2, R)[1:n - 1]
 
-        # delta couplings on interior vertices
-        vertex_nodes = np.arange(1, R) * block - 1
+        # delta couplings on interior vertices, the first node of rings 1..R-1
         coupling = np.full(R - 1, chain.params.alpha)
         coupling[start - 1:start - 1 + len(gammas)] += gammas
-        kd[vertex_nodes] += coupling
-
-        ring_of_node = (np.arange(n) + 1) // block
+        kd[block - 1::block] += coupling
 
         object.__setattr__(self, "gammas", gammas)
-        for name, a in dict(kd=kd, k1=k1, k2=k2, md=md, m1=m1, m2=m2,
-                            vertex_nodes=vertex_nodes, ring_of_node=ring_of_node).items():
+        for name, a in dict(kd=kd, k1=k1, k2=k2, md=md, m1=m1, m2=m2).items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
         return len(self.kd)
-
-    @functools.cached_property
-    def _edges(self):
-        """What `eigen_count` reads of the pencil: the edge diagonal (kd,
-        md), the interior link (k, m), cos^2(A pi) and the vertex diagonals.
-        cos(A pi) is the ratio of a vertex's two links into the s chains: from
-        s_I of the ring before it, sqrt(2) c cos(A pi), and to s_1, sqrt(2) c
-        (0 without vertices, where nothing reads it)."""
-        kd, md, k, m = float(self.kd[0]), float(self.md[0]), float(self.k2[0]), float(self.m2[0])
-        vk, vm = self.kd[self.vertex_nodes].tolist(), self.md[self.vertex_nodes].tolist()
-        ring2 = 0.0
-        if vk:
-            v = self.vertex_nodes[0]
-            ring2 = (float(self.k2[v - 2]) / float(self.k1[v])) ** 2
-        return kd, md, k, m, ring2, vk, vm
 
 
 def assemble(chain: TruncatedChain, gammas: Sequence[float]) -> DiscreteOperator:
@@ -217,45 +196,65 @@ _assemble = functools.lru_cache(maxsize=ASSEMBLE_CACHE)(DiscreteOperator)
 def eigen_count(op: DiscreteOperator, s: float) -> int:
     """Number of pencil eigenvalues below s: the inertia nu of K - s*M, by
     eliminating the edges (E. V. Haynsworth, Linear Algebra Appl. 1 (1968)
-    73).
+    73) in closed form, in O(R) at any grid size.
 
     Every s and t chain of K - s*M is one real tridiagonal Toeplitz matrix
-    T with diagonal d and off-diagonal b, the interior link.  Eliminating
-    the 2R chains leaves a tridiagonal Schur complement S on the R - 1
-    vertices, and nu(K - s*M) = 2R nu(T) + nu(S).  One LDL^T pivot loop
-    over T gives nu(T), (T^-1)_11 (the inverse of its last pivot, T being
-    persymmetric) and (T^-1)_1I, which couples the two ends of a chain.
-    A vertex links by sqrt(2) b to s_1 on its right, and by sqrt(2) b
-    cos(A pi) and sqrt(2) b sin(A pi) to s_I and t_I on its left, so S_jj
-    is the vertex diagonal less 4 b^2 (T^-1)_11, and S_j,j+1^2 =
-    (2 cos(A pi) b^2 (T^-1)_1I)^2; the vertex pivots q_j = S_jj -
-    S_j-1,j^2 / q_j-1 give nu(S).
+    T of size I, with diagonal d = 2/h - 10sh/12 and off-diagonal b = -1/h
+    - sh/12, the interior link.  Eliminating the 2R chains leaves a
+    tridiagonal Schur complement S on the R - 1 vertices, and nu(K - s*M) =
+    2R nu(T) + nu(S).  With x = d/(2b), T's eigenvalues are d + 2b cos(j
+    pi/(I+1)), (T^-1)_11 = U_I-1(x)/(b U_I(x)) and (T^-1)_1I = +-1/(b
+    U_I(x)), U_k the Chebyshev polynomials (C. M. da Fonseca and J.
+    Petronilho, Linear Algebra Appl. 325 (2001) 7).  A vertex links by
+    sqrt(2) b to s_1 on its right, and by sqrt(2) b cos(A pi) and sqrt(2) b
+    sin(A pi) to s_I and t_I on its left, so S_jj is the vertex diagonal
+    less 4b U_I-1/U_I, and S_j,j+1^2 = 4 cos^2(A pi) b^2/U_I^2; the vertex
+    pivots q_j = S_jj - S_j-1,j^2 / q_j-1 give nu(S).
 
-    Raises SolverNoConvergence where a zero pivot, an overflow or a NaN (a
-    non-finite s) voids the count."""
-    kd, md, k, m, ring2, vk, vm = op._edges
-    s = float(s)    # a numpy float would make every pivot a numpy scalar, at half the speed
-    d, b = kd - s * md, k - s * m
-    b2 = b * b
+    Raises SolverNoConvergence for a non-finite s, and where a zero pivot
+    (sin((I+1)w) = 0 included), an overflow or a NaN voids the count."""
+    chain, s = op.chain, float(s)    # a numpy float would make every pivot a numpy scalar
+    if not math.isfinite(s):
+        raise SolverNoConvergence(f"K - {s}*M: a non-finite shift has no count")
+    h, I = chain.h, chain.points_per_edge - 1
+    d, b = 2.0 / h - s * (10.0 * h / 12.0), -1.0 / h - s * (h / 12.0)
+    # g = (1 + x)/2 from d + 2b = -hs, exact without a subtraction near x = -1
+    # (the bottom of the spectrum, at any grid size); b = 0 leaves T diagonal
+    g = -h * s / (4.0 * b) if b else math.inf
+    gammas, alpha = op.gammas, chain.params.alpha
+    couplings = [alpha] * (chain.pattern_start(len(gammas)) - 1) + [alpha + gamma for gamma in gammas]
+    couplings += [alpha] * (chain.n_rings - 1 - len(couplings))
+    kv, mv = 4.0 / h, 20.0 * h / 12.0
     try:
-        t, ends = d, 1.0      # ends: ((T^-1)_1I t_I)^2, a product of (b/t_i)^2
-        edge = 0
-        for _ in range(op.chain.points_per_edge - 2):
-            edge += t < 0.0
-            ends *= b2 / (t * t)
-            t = d - b2 / t
-        edge += t < 0.0
-        end = 4.0 * b2 / t                                   # four edge ends at each vertex
-        couple = 4.0 * ring2 * b2 * b2 * ends / (t * t)       # S_j,j+1^2
+        if 0.0 < g < 1.0:
+            # x = -cos(w): U_k = (-1)^k sin((k+1)w)/sin(w), and T's
+            # eigenvalue j is negative where j pi/(I+1) < w
+            w = 2.0 * math.asin(math.sqrt(g))
+            edge, sign = math.ceil((I + 1) * w / math.pi) - 1, -1.0
+            top = math.sin((I + 1) * w)
+            ratio, inv = math.sin(I * w) / top, math.sin(w) / top
+        else:
+            # x = -+cosh(w) (g <= 0, g >= 1): U_k = (-+1)^k sinh((k+1)w)/sinh(w),
+            # written with exp(-w) so that it cannot overflow; T is definite
+            w = 2.0 * math.asinh(math.sqrt(-g if g <= 0.0 else g - 1.0))
+            edge, sign = I if d < 0.0 else 0, -1.0 if g <= 0.0 else 1.0
+            if w == 0.0:    # x = -+1: U_k = (-+1)^k (k+1)
+                ratio, inv = I / (I + 1), 1.0 / (I + 1)
+            else:
+                top = math.expm1(-2.0 * (I + 1) * w)
+                ratio = math.exp(-w) * math.expm1(-2.0 * I * w) / top
+                inv = math.exp(-I * w) * math.expm1(-2.0 * w) / top
+        end = 4.0 * b * sign * ratio                          # four edge ends at each vertex
+        couple = 4.0 * chain.params.flux_phase.real ** 2 * (b * inv) * (b * inv)    # S_j,j+1^2
         vertex, q = 0, math.inf     # the first vertex has no coupling above it
-        for kv, mv in zip(vk, vm):
-            q = kv - s * mv - end - couple / q
+        for a in couplings:
+            q = (kv + a) - s * mv - end - couple / q
             vertex += q < 0.0
     except ZeroDivisionError:
         raise SolverNoConvergence(f"K - {s}*M: a zero pivot voids the count") from None
     if not math.isfinite(couple) or math.isnan(q):
         raise SolverNoConvergence(f"K - {s}*M: an overflow or a NaN voids the count")
-    return 2 * op.chain.n_rings * edge + vertex
+    return 2 * chain.n_rings * edge + vertex
 
 
 def _band_lu(op: DiscreteOperator, sigma: float):
@@ -366,14 +365,10 @@ def localization_scores(op: DiscreteOperator, vecs: np.ndarray) -> np.ndarray:
     truncation rather than by the perturbation.
     """
     weights = np.abs(vecs) ** 2 * op.md[:, None]
-    outer = (op.ring_of_node <= 1) | (op.ring_of_node >= op.chain.n_rings - 2)
+    block, R = 2 * op.chain.points_per_edge - 1, op.chain.n_rings
+    outer = np.zeros(op.dim, dtype=bool)    # nodes of rings 0, 1, R-2 and R-1
+    outer[:2 * block - 1] = outer[max((R - 2) * block - 1, 0):] = True
     return weights[outer].sum(axis=0) / weights.sum(axis=0)
-
-
-def eigenvector_ring_norms(op: DiscreteOperator, vec: np.ndarray) -> np.ndarray:
-    """Measure-weighted mass per ring (decay diagnostics)."""
-    w = np.abs(vec) ** 2 * op.md
-    return np.sqrt(np.bincount(op.ring_of_node, weights=w, minlength=op.chain.n_rings))
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,17 @@ class TestExitCodes:
         assert main(["bands", "--cosA", "0.7", f"--alpha-sweep={sweep}"]) == 2
         assert capsys.readouterr().err.startswith(f"error: sweep has more than {MAX_SWEEP_POINTS} points")
 
+    @pytest.mark.parametrize("sweep, want", [("0:1:0.6", [0.0, 0.6]), ("0:1:0.7", [0.0, 0.7]),
+                                             ("0:1:0.5", [0.0, 0.5, 1.0])])
+    def test_sweep_never_passes_its_upper_end(self, sweep, want):
+        # the count used to be rounded: 0:1:0.6 swept on to alpha = 1.2
+        assert _parse_sweep(sweep).tolist() == want
+
+    def test_fig3_sweep_keeps_its_rows(self):
+        # (2 - -4)/0.01 is exactly 600
+        alphas = _parse_sweep("-4:2:0.01")
+        assert len(alphas) == 601 and alphas[-1] <= 2.0
+
     def test_longest_sweep_is_accepted(self):
         alphas = _parse_sweep(f"0:{MAX_SWEEP_POINTS - 1}:1")
         assert len(alphas) == MAX_SWEEP_POINTS and alphas[-1] == MAX_SWEEP_POINTS - 1

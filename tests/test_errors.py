@@ -6,11 +6,14 @@ import pytest
 from ringchain import (
     ChainParams,
     DistantPair,
+    PerturbationPattern,
     band_edges,
+    distant_solve,
     flat_band_eigenfunction,
     identical_closed_form,
     identical_conditions,
     product_matrix,
+    solve_gap,
     splitting_rate,
 )
 from ringchain.crosscheck import run_cases
@@ -41,6 +44,13 @@ SITES = {
     "richardson_limit-step-negative": lambda: richardson_limit([0.2, -0.1], [1.0, 1.1]),
     "richardson_limit-step-nan": lambda: richardson_limit([0.2, float("nan")], [1.0, 1.1]),
     "richardson_limit-step-inf": lambda: richardson_limit([float("inf"), 0.1], [1.0, 1.1]),
+    # stamped on every returned state
+    "solve_gap-gap_index-fractional": lambda: solve_gap(
+        PerturbationPattern.single(-2.0), band_edges(P, 25.0).gaps[0], P, gap_index=1.5),
+    "solve_gap-gap_index-negative": lambda: solve_gap(
+        PerturbationPattern.single(-2.0), band_edges(P, 25.0).gaps[0], P, gap_index=-3),
+    "distant_solve-gap_index-negative": lambda: distant_solve(
+        DistantPair(-1.5, -1.5, 4), band_edges(P, 25.0).gaps[0], P, gap_index=-1),
 }
 
 FIT_SITES = {

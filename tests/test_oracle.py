@@ -23,7 +23,7 @@ from ringchain import (
     spectrum_window,
 )
 from ringchain.errors import InvalidParameter, SolverNoConvergence
-from ringchain.oracle import eigen_count, eigenvector_ring_norms, localization_scores, richardson_limit
+from ringchain.oracle import eigen_count, localization_scores, richardson_limit
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ class TestAssembly:
         # the pencil's arrays are not fields that replace() or the
         # constructor take, so a pencil that is not its chain's cannot be built
         op = assemble(TruncatedChain(9, 64, p06), [0.0])
-        for name in ("kd", "k1", "k2", "md", "m1", "m2", "vertex_nodes", "ring_of_node"):
+        for name in ("kd", "k1", "k2", "md", "m1", "m2"):
             with pytest.raises(ValueError, match="init=False"):
                 dataclasses.replace(op, **{name: getattr(op, name).copy()})
         with pytest.raises(TypeError):
@@ -110,8 +110,7 @@ class TestAssembly:
         small = assemble(TruncatedChain(3, 64, p06), ())
         n = small.dim
         assert n == 380 and small.gammas == ()
-        for name, cut in (("kd", n), ("md", n), ("k1", n - 1), ("m1", n - 1), ("k2", n - 2), ("m2", n - 2),
-                          ("vertex_nodes", 2), ("ring_of_node", n)):
+        for name, cut in (("kd", n), ("md", n), ("k1", n - 1), ("m1", n - 1), ("k2", n - 2), ("m2", n - 2)):
             assert np.array_equal(getattr(small, name), getattr(op, name)[:cut]), name
 
     def test_free_chain_nonnegative(self):
@@ -197,19 +196,15 @@ def _complex_reference(chain, gammas):
 
 
 def _with_vertices(chain, gammas, bands):
-    """The bands with the vertex couplings added, and the node maps."""
-    n, block = chain.dim, 2 * chain.points_per_edge - 1
+    """The bands with the vertex couplings added."""
+    block = 2 * chain.points_per_edge - 1
     start = chain.pattern_start(len(gammas))
-    vertex_nodes = np.array([v * block - 1 for v in range(1, chain.n_rings)])
-    for v, node in enumerate(vertex_nodes, start=1):
+    for v in range(1, chain.n_rings):
         coupling = chain.params.alpha
         if start <= v < start + len(gammas):
             coupling += gammas[v - start]
-        bands["kd"][node] += coupling
-    ring_of_node = np.empty(n, dtype=int)
-    for ring in range(chain.n_rings):
-        ring_of_node[max(ring * block - 1, 0):min((ring + 1) * block - 1, n)] = ring
-    return SimpleNamespace(**bands, vertex_nodes=vertex_nodes, ring_of_node=ring_of_node)
+        bands["kd"][v * block - 1] += coupling
+    return SimpleNamespace(**bands)
 
 
 def _rotation(chain):
@@ -237,8 +232,7 @@ def _assert_matches_reference(chain, gammas):
     op = assemble(chain, gammas)
     for name, want in vars(_assemble_reference(chain, gammas)).items():
         got = getattr(op, name)
-        # the reference's vertex list of a 1-ring chain is np.array([]), a float array
-        assert got.dtype == want.dtype or want.size == 0, name
+        assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
 
 
@@ -459,6 +453,134 @@ class TestInertiaCount:
             assert np.linalg.norm(A @ x - b) <= 1e-12 * scale, sigma
 
 
+def _pivot_count(op, s):
+    """eigen_count as an LDL^T pivot loop along an edge, then over the
+    vertices, reading the pencil from its bands: the reference for the
+    closed form.  (T^-1)_11 is the inverse of T's last pivot, T being
+    persymmetric, and ((T^-1)_1I t_I)^2 a product of (b/t_i)^2."""
+    block = 2 * op.chain.points_per_edge - 1
+    vertex_nodes = np.arange(1, op.chain.n_rings) * block - 1
+    kd, md, k, m = float(op.kd[0]), float(op.md[0]), float(op.k2[0]), float(op.m2[0])
+    vk, vm = op.kd[vertex_nodes].tolist(), op.md[vertex_nodes].tolist()
+    ring2 = 0.0
+    if vk:
+        v = vertex_nodes[0]
+        ring2 = (float(op.k2[v - 2]) / float(op.k1[v])) ** 2
+    s = float(s)
+    d, b = kd - s * md, k - s * m
+    b2 = b * b
+    try:
+        t, ends = d, 1.0      # ends: ((T^-1)_1I t_I)^2, a product of (b/t_i)^2
+        edge = 0
+        for _ in range(op.chain.points_per_edge - 2):
+            edge += t < 0.0
+            ends *= b2 / (t * t)
+            t = d - b2 / t
+        edge += t < 0.0
+        end = 4.0 * b2 / t                                   # four edge ends at each vertex
+        couple = 4.0 * ring2 * b2 * b2 * ends / (t * t)       # S_j,j+1^2
+        vertex, q = 0, math.inf     # the first vertex has no coupling above it
+        for kv, mv in zip(vk, vm):
+            q = kv - s * mv - end - couple / q
+            vertex += q < 0.0
+    except ZeroDivisionError:
+        raise SolverNoConvergence(f"K - {s}*M: a zero pivot voids the count") from None
+    if not math.isfinite(couple) or math.isnan(q):
+        raise SolverNoConvergence(f"K - {s}*M: an overflow or a NaN voids the count")
+    return 2 * op.chain.n_rings * edge + vertex
+
+
+def _edge_eigenvalues(chain):
+    """The shifts where T, the tridiagonal Toeplitz matrix of one edge, is
+    singular: d + 2b cos(j pi/(I+1)) = 0 for j = 1..I, the flat-band
+    clusters of the pencil."""
+    h, I = chain.h, chain.points_per_edge - 1
+    c = np.cos(np.arange(1, I + 1) * math.pi / (I + 1))
+    return 24.0 * (1.0 - c) / (h * h * (10.0 + 2.0 * c))
+
+
+class TestClosedFormCount:
+    """eigen_count's closed form against the pivot loop it replaced, in
+    each regime of x = d/(2b): |x| < 1 (trigonometric), x < -1 below the
+    spectrum, x > 1 above it or with b > 0, and x = -1 at s = 0."""
+
+    @pytest.fixture(scope="class")
+    def op9(self):
+        return assemble(TruncatedChain(9, 64, ChainParams.from_cos_flux(0.7, -1.0)), [-1.5])
+
+    def _agree(self, op, shifts):
+        counts = [_pivot_count(op, s) for s in shifts]
+        assert [eigen_count(op, s) for s in shifts] == counts
+        return counts
+
+    def test_x_is_minus_one_at_zero_shift(self, op9):
+        # s = 0 (and shifts whose h*s underflows) is x = -1 exactly, where
+        # sin(w) and sinh(w) vanish; the loop counts the 3 vertex states below
+        shifts = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]
+        assert self._agree(op9, shifts) == [3] * 6
+
+    def test_b_positive_below_minus_twelve_over_h2(self, op9):
+        h = op9.chain.h
+        shifts = [-12.0 / h**2 * f for f in (1.0 + 1e-9, 1.5, 10.0, 1e6)]
+        assert all(-1.0 / h - s * (h / 12.0) > 0.0 for s in shifts)
+        # b = 0 exactly, where T is diagonal, and its neighbours either side
+        s0 = (-1.0 / h) / (h / 12.0)
+        near = [s0 + k * math.ulp(s0) for k in (-1, 0, 1)]
+        assert -1.0 / h - near[1] * (h / 12.0) == 0.0
+        assert self._agree(op9, shifts + near) == [0] * 7
+
+    def test_shift_above_every_edge_eigenvalue(self, op9):
+        # x >= 1 from s = 6/h^2 (x = 1) on; at 1e7 the whole pencil is below s
+        assert _edge_eigenvalues(op9.chain).max() < 6.0 / op9.chain.h**2
+        assert self._agree(op9, [6.0 / op9.chain.h**2, 1e5, 1e7])[-1] == op9.dim
+        # a strong coupling puts the R - 1 vertex states above 6/h^2, where
+        # the vertex pivots see the sign of U_I-1/U_I at x > 1
+        op = assemble(TruncatedChain(9, 64, ChainParams.from_cos_flux(0.7, 200.0)), [1.5])
+        counts = self._agree(op, np.geomspace(6.0 / op.chain.h**2, 1e5, 30).tolist())
+        assert counts[0] == op.dim - 8 and counts[-1] == op.dim
+
+    def test_overflow_raises_like_the_loop(self, op9):
+        # b^2/U_I^2 overflows at s = 1e300 (a power of a float would raise
+        # OverflowError, not the typed error)
+        for count in (_pivot_count, eigen_count):
+            with pytest.raises(SolverNoConvergence, match="overflow"):
+                count(op9, 1e300)
+
+    @pytest.mark.parametrize("cos_flux", [0.7, -0.45, 0.0, 1.0, -1.0])
+    def test_beside_every_edge_eigenvalue(self, cos_flux):
+        # 1e-9 relative each side of all I = 63 edge eigenvalues, from the
+        # flat-band cluster at 1 up to the top of the grid's spectrum
+        op = assemble(TruncatedChain(9, 64, ChainParams.from_cos_flux(cos_flux, -1.0)), [-1.5, 0.5])
+        E = _edge_eigenvalues(op.chain)
+        counts = self._agree(op, np.concatenate([E * (1.0 - 1e-9), E * (1.0 + 1e-9)]).tolist())
+        # each window holds one flat-band cluster of n_rings + 1 eigenvalues
+        below, above = counts[:len(E)], counts[len(E):]
+        assert {hi - lo for lo, hi in zip(below, above)} == {op.chain.n_rings + 1}
+
+    def test_fine_grid(self):
+        # M = 4096, where 1 + x is about 3e-7 s: formed as -h s/(2b), not as
+        # a difference, so the count stays exact
+        op = assemble(TruncatedChain(9, 4096, ChainParams.from_cos_flux(0.7, -1.0)), [-1.5])
+        E = _edge_eigenvalues(op.chain)[:6]
+        rng = np.random.default_rng(4096)
+        shifts = rng.uniform(-5.0, 40.0, 20).tolist() + [1e-6, -1e-6]
+        shifts += np.concatenate([E * (1.0 - 1e-9), E * (1.0 + 1e-9)]).tolist()
+        self._agree(op, shifts)
+
+    @pytest.mark.parametrize("rings, gammas", [(1, ()), (3, ()), (9, ())], ids=["one-ring", "three", "nine"])
+    def test_short_chains_and_empty_patterns(self, p06, rings, gammas):
+        op = assemble(TruncatedChain(rings, 64, p06), gammas)
+        rng = np.random.default_rng(rings)
+        shifts = rng.uniform(-5.0, 40.0, 30).tolist() + [0.0, 1e7, -1e7]
+        self._agree(op, shifts)
+
+    def test_reads_only_the_chain_and_the_pattern(self, op9):
+        # no band is read: the chain and the pattern count the same pencil
+        bare = SimpleNamespace(chain=op9.chain, gammas=op9.gammas)
+        for s in (-3.0, 0.0, 0.5, 1.0 + 1e-9, 17.0, 1e7):
+            assert eigen_count(bare, s) == eigen_count(op9, s)
+
+
 class TestSpectra:
     def test_band_clustering_unperturbed(self, p06):
         layout = band_edges(p06, 10.0)
@@ -470,6 +592,17 @@ class TestSpectra:
             in_band = any(lo - slack <= E <= hi + slack for lo, hi in layout.bands)
             near_flat = any(abs(E - fb.E) < 0.05 for fb in layout.flat_bands)
             assert in_band or near_flat or score > 0.5
+
+    @pytest.mark.parametrize("rings", [1, 3, 9])
+    def test_localization_scores_weigh_the_outer_two_rings(self, p06, rings):
+        # bit for bit the mass on the nodes of rings 0, 1, R-2 and R-1
+        op = assemble(TruncatedChain(rings, 64, p06), [0.0] if rings >= 7 else ())
+        vecs = np.random.default_rng(rings).standard_normal((op.dim, 4))
+        ring_of_node = (np.arange(op.dim) + 1) // (2 * op.chain.points_per_edge - 1)
+        outer = (ring_of_node <= 1) | (ring_of_node >= rings - 2)
+        weights = vecs**2 * op.md[:, None]
+        want = weights[outer].sum(axis=0) / weights.sum(axis=0)
+        assert np.array_equal(localization_scores(op, vecs), want)
 
     def test_flat_band_cluster(self, p06):
         chain = TruncatedChain(9, 64, p06)
@@ -667,8 +800,7 @@ class TestReuse:
         op = assemble(TruncatedChain(9, 64, p06), [-1.25])
         vals, vecs = spectrum_window(op, -3.0, 0.5)
         assert spectrum_window(op, -3.0, 0.5)[0] is vals
-        for a in (vals, vecs, op.kd, op.k1, op.k2, op.md, op.m1, op.m2,
-                  op.vertex_nodes, op.ring_of_node):
+        for a in (vals, vecs, op.kd, op.k1, op.k2, op.md, op.m1, op.m2):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
@@ -686,6 +818,14 @@ class TestReuse:
 
 
 class TestEigenvectorDecay:
+    @staticmethod
+    def _ring_norms(op, vec):
+        """Measure-weighted mass per ring: ring r holds nodes
+        [r*block - 1, (r+1)*block - 1)."""
+        ring_of_node = (np.arange(op.dim) + 1) // (2 * op.chain.points_per_edge - 1)
+        w = np.abs(vec) ** 2 * op.md
+        return np.sqrt(np.bincount(ring_of_node, weights=w, minlength=op.chain.n_rings))
+
     def test_ring_norm_ratio_tracks_multiplier(self, p06, gap0_state):
         _, state = gap0_state
         lam = abs(lambda_small(state.E, p06.alpha, p06))
@@ -693,7 +833,7 @@ class TestEigenvectorDecay:
         vals, vecs = spectrum_window(op, state.E - 0.1, state.E + 0.1)
         scores = localization_scores(op, vecs)
         idx = next(i for i, s in enumerate(scores) if s <= 0.5)
-        norms = eigenvector_ring_norms(op, vecs[:, idx])
+        norms = self._ring_norms(op, vecs[:, idx])
         # rings just outside the centered perturbation, away from the walls
         center = 7
         for j in range(center + 2, center + 5):
