@@ -52,8 +52,11 @@ def _emit(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _csv_text(config_line: str, header: list[str], rows) -> str:

@@ -162,11 +162,7 @@ def _check_spurious(params, gammas, n_rings, M, window, char_roots, tol_raw) -> 
     """Every non-edge-localized oracle state in the window must match one
     of the characteristic roots; at most MAX_EDGE_STATES edge states
     tolerated (those come from the Dirichlet truncation)."""
-    op = oracle_mod.assemble(oracle_mod.TruncatedChain(n_rings, M, params), gammas)
-    vals, vecs = oracle_mod.spectrum_window(op, window[0], window[1])
-    scores = oracle_mod.localization_scores(op, vecs)
-    bulk = vals[scores <= oracle_mod.EDGE_SCORE]
-    n_edge = int((scores > oracle_mod.EDGE_SCORE).sum())
+    bulk, n_edge = oracle_mod.bulk_states(oracle_mod.TruncatedChain(n_rings, M, params), gammas, *window)
     if n_edge > MAX_EDGE_STATES:
         return False
     return all(min(abs(v - E) for E in char_roots) <= tol_raw for v in bulk)

@@ -23,10 +23,12 @@ size), and the shift-invert operator is a LAPACK band LU of K - sigma*M.
 A `DiscreteOperator` is built from its (chain, pattern) pair alone, and
 the count reads only that pair, so no other pencil can reach it.
 
-Work is done once: `assemble` shares operators over a small LRU of
-(chain, pattern) pairs, each keeping every window it has solved.  The
-read-only bands are the pencil's only copy; ARPACK applies M from them and
-the shift-invert operator through their band LU.
+Work is done once: `bulk_states` memoises, by value, a window's bulk
+eigenvalues and its count of truncation edge states over the windows of
+one configuration, so the spurious-state check reuses the finest
+refinement level's solve.  Operators are built afresh; their read-only
+bands are the pencil's only copy, and ARPACK applies M from them and the
+shift-invert operator through their band LU.
 
 Nothing here touches the dispersion function, Floquet multipliers, the
 quasi-polynomial recursion, or the coupling functions: spectra computed
@@ -54,8 +56,8 @@ from .errors import DimensionOverflow, FitFailed, InvalidParameter, SolverNoConv
 # near-degenerate flat-band clusters
 ARPACK_TOL = 1e-10
 
-# operators kept by assemble: the refinement levels of one configuration
-ASSEMBLE_CACHE = 3
+# windows kept by bulk_states: two roots at three refinement levels
+BULK_CACHE = 6
 
 # largest pencil dimension a DiscreteOperator is built with
 MAX_DIM = 600_000
@@ -89,6 +91,13 @@ class TruncatedChain:
             raise InvalidParameter("chain too short: need n_rings >= pattern length + 6")
         return (self.n_rings - 1 - m) // 2 + 1
 
+    def couplings(self, gammas: Sequence[float]) -> list[float]:
+        """Delta couplings of the R - 1 interior vertices, as Python floats:
+        alpha, plus `gammas` on the centered pattern's vertices."""
+        alpha, start = float(self.params.alpha), self.pattern_start(len(gammas)) - 1
+        pattern = [alpha + float(gamma) for gamma in gammas]
+        return [alpha] * start + pattern + [alpha] * (self.n_rings - 1 - start - len(pattern))
+
 
 # the pencil's arrays: built from (chain, gammas), never passed in
 _built = functools.partial(field, init=False, compare=False, repr=False)
@@ -118,10 +127,9 @@ class DiscreteOperator:
     right end vertex are Dirichlet and carry no node.  Raises
     DimensionOverflow above MAX_DIM nodes.
 
-    Frozen, with read-only arrays, because `assemble` shares it.  The bands
-    are its only copy of the pencil.  It keeps the windows `spectrum_window`
-    has solved on it; a copy made with `dataclasses.replace`, which takes
-    only chain and gammas, starts with none."""
+    Frozen, with read-only arrays: the bands are its only copy of the
+    pencil, and a copy made with `dataclasses.replace`, which takes only
+    chain and gammas, builds its own."""
 
     chain: TruncatedChain
     gammas: tuple[float, ...]
@@ -131,13 +139,11 @@ class DiscreteOperator:
     md: np.ndarray = _built()
     m1: np.ndarray = _built()
     m2: np.ndarray = _built()
-    _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         chain, gammas = self.chain, tuple(float(g) for g in self.gammas)
         if chain.dim > MAX_DIM:
             raise DimensionOverflow(f"dim {chain.dim} exceeds cap {MAX_DIM}")
-        start = chain.pattern_start(len(gammas))
 
         n, h, R, I = chain.dim, chain.h, chain.n_rings, chain.points_per_edge - 1
         block = 2 * I + 1
@@ -166,9 +172,7 @@ class DiscreteOperator:
         k2, m2 = np.tile(k2, R)[1:n - 1], np.tile(m2, R)[1:n - 1]
 
         # delta couplings on interior vertices, the first node of rings 1..R-1
-        coupling = np.full(R - 1, chain.params.alpha)
-        coupling[start - 1:start - 1 + len(gammas)] += gammas
-        kd[block - 1::block] += coupling
+        kd[block - 1::block] += chain.couplings(gammas)
 
         object.__setattr__(self, "gammas", gammas)
         for name, a in dict(kd=kd, k1=k1, k2=k2, md=md, m1=m1, m2=m2).items():
@@ -181,16 +185,8 @@ class DiscreteOperator:
 
 
 def assemble(chain: TruncatedChain, gammas: Sequence[float]) -> DiscreteOperator:
-    """The operator for the chain with a centered perturbation pattern.
-
-    Operators are shared: the last ASSEMBLE_CACHE distinct (chain, gammas)
-    pairs, gammas taken as a tuple of floats, return the same (read-only)
-    operator, with the windows already solved on it.
-    """
-    return _assemble(chain, tuple(float(g) for g in gammas))
-
-
-_assemble = functools.lru_cache(maxsize=ASSEMBLE_CACHE)(DiscreteOperator)
+    """The operator for the chain with a centered perturbation pattern."""
+    return DiscreteOperator(chain, gammas)
 
 
 def eigen_count(op: DiscreteOperator, s: float) -> int:
@@ -221,9 +217,6 @@ def eigen_count(op: DiscreteOperator, s: float) -> int:
     # g = (1 + x)/2 from d + 2b = -hs, exact without a subtraction near x = -1
     # (the bottom of the spectrum, at any grid size); b = 0 leaves T diagonal
     g = -h * s / (4.0 * b) if b else math.inf
-    gammas, alpha = op.gammas, chain.params.alpha
-    couplings = [alpha] * (chain.pattern_start(len(gammas)) - 1) + [alpha + gamma for gamma in gammas]
-    couplings += [alpha] * (chain.n_rings - 1 - len(couplings))
     kv, mv = 4.0 / h, 20.0 * h / 12.0
     try:
         if 0.0 < g < 1.0:
@@ -247,7 +240,7 @@ def eigen_count(op: DiscreteOperator, s: float) -> int:
         end = 4.0 * b * sign * ratio                          # four edge ends at each vertex
         couple = 4.0 * chain.params.flux_phase.real ** 2 * (b * inv) * (b * inv)    # S_j,j+1^2
         vertex, q = 0, math.inf     # the first vertex has no coupling above it
-        for a in couplings:
+        for a in chain.couplings(op.gammas):
             q = (kv + a) - s * mv - end - couple / q
             vertex += q < 0.0
     except ZeroDivisionError:
@@ -314,7 +307,7 @@ def _slices(op, v0, lo, n_lo, hi, n_hi):
     return _slices(op, v0, lo, n_lo, center, n_mid) + _slices(op, v0, center, n_mid, hi, n_hi)
 
 
-@functools.lru_cache(maxsize=ASSEMBLE_CACHE)
+@functools.lru_cache(maxsize=3)    # the refinement levels of one configuration
 def _start_vector(dim: int) -> np.ndarray:
     """ARPACK's start vector for a pencil of dimension dim, read-only (ARPACK
     copies it): fixed, so repeated solves agree to the last bit; random,
@@ -339,20 +332,12 @@ def spectrum_window(op: DiscreteOperator, lo: float, hi: float):
     way (spectrum slicing).  Only a slice narrower than ARPACK's
     resolution that still holds eigenvalues raises SolverNoConvergence.
     Ends that are not finite with lo <= hi raise InvalidParameter.
-
-    The result is memoised on the operator by (lo, hi) and both arrays
-    are read-only, so a repeated window costs nothing.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise InvalidParameter(f"window needs finite ends with lo <= hi, not ({lo}, {hi})")
-    if (lo, hi) in op._windows:
-        return op._windows[lo, hi]
     v0 = _start_vector(op.dim)
     vals, vecs = zip(*_slices(op, v0, lo, eigen_count(op, lo), hi, eigen_count(op, hi)))
-    vals, vecs = np.concatenate(vals), np.hstack(vecs)
-    vals.flags.writeable = vecs.flags.writeable = False
-    op._windows[lo, hi] = vals, vecs
-    return vals, vecs
+    return np.concatenate(vals), np.hstack(vecs)
 
 
 EDGE_SCORE = 0.5   # localization score above which a state is truncation debris
@@ -371,13 +356,34 @@ def localization_scores(op: DiscreteOperator, vecs: np.ndarray) -> np.ndarray:
     return weights[outer].sum(axis=0) / weights.sum(axis=0)
 
 
+def bulk_states(chain: TruncatedChain, gammas: Sequence[float], lo: float, hi: float) -> tuple[np.ndarray, int]:
+    """The window's eigenvalues with a localization score of at most
+    EDGE_SCORE, ascending and read-only, and the number of the others (the
+    truncation edge states).
+
+    Memoised by value, gammas taken as a tuple of floats, over the last
+    BULK_CACHE windows, so a repeated window costs nothing.
+    """
+    return _bulk_states(chain, tuple(float(g) for g in gammas), lo, hi)
+
+
+@functools.lru_cache(maxsize=BULK_CACHE)
+def _bulk_states(chain, gammas, lo, hi):
+    op = assemble(chain, gammas)
+    vals, vecs = spectrum_window(op, lo, hi)
+    scores = localization_scores(op, vecs)
+    bulk = vals[scores <= EDGE_SCORE]
+    bulk.flags.writeable = False
+    return bulk, int(np.count_nonzero(scores > EDGE_SCORE))
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     M: int
     n_rings: int
     E_oracle: float
-    E_char: float | None
-    abs_err: float | None
+    E_char: float
+    abs_err: float
 
 
 @dataclass(frozen=True)
@@ -386,17 +392,10 @@ class ConvergenceStudy:
     observed_order: float
     richardson: float
 
-    def to_csv_rows(self):
-        return [
-            (r.M, r.n_rings, r.E_oracle, r.E_char, r.abs_err)
-            for r in self.rows
-        ]
 
-
-def _window_state(op: DiscreteOperator, lo: float, hi: float, near: float) -> float:
+def _window_state(chain: TruncatedChain, gammas, lo: float, hi: float, near: float) -> float:
     """The non-edge-localized window eigenvalue closest to `near`."""
-    vals, vecs = spectrum_window(op, lo, hi)
-    bulk = vals[localization_scores(op, vecs) <= EDGE_SCORE]
+    bulk, _ = bulk_states(chain, gammas, lo, hi)
     if len(bulk) == 0:
         raise SolverNoConvergence(f"no eigenvalue but truncation edge states in ({lo}, {hi})")
     return float(bulk[np.argmin(np.abs(bulk - near))])
@@ -438,14 +437,14 @@ def convergence_study(
     M_list: Sequence[int],
     n_rings: int,
     window: tuple[float, float],
-    reference: float | None = None,
+    reference: float,
 ) -> ConvergenceStudy:
     """Track one gap eigenvalue across grid refinements.
 
     The observed order comes from consecutive differences; the Richardson
-    value extrapolates the h^2 (then higher) error terms away.  When a
-    reference (for example a characteristic-equation root) is supplied it
-    is recorded in the error column and used to center the window search.
+    value extrapolates the h^2 (then higher) error terms away.  The
+    reference (for example a characteristic-equation root) is recorded in
+    the error column, and the window's bulk state closest to it is tracked.
     Each resolution is solved once; fewer than 3 distinct ones raise
     FitFailed, since the extrapolation divides by their ratios less one,
     and a non-integral one raises InvalidParameter.
@@ -453,11 +452,7 @@ def convergence_study(
     Ms = sorted(set(M_list))
     if len(Ms) < 3:
         raise FitFailed("need at least 3 distinct grid resolutions")
-    near = reference if reference is not None else 0.5 * (window[0] + window[1])
-    vals = []
-    for M in Ms:
-        op = assemble(TruncatedChain(n_rings, M, params), gammas)
-        vals.append(_window_state(op, window[0], window[1], near))
+    vals = [_window_state(TruncatedChain(n_rings, M, params), gammas, window[0], window[1], reference) for M in Ms]
 
     diffs = np.diff(vals)
     if np.any(diffs == 0.0):
@@ -467,13 +462,7 @@ def convergence_study(
     rich = richardson_limit([math.pi / M for M in Ms], vals)
 
     rows = tuple(
-        ConvergenceRow(
-            M=M,
-            n_rings=n_rings,
-            E_oracle=v,
-            E_char=reference,
-            abs_err=None if reference is None else abs(v - reference),
-        )
+        ConvergenceRow(M=M, n_rings=n_rings, E_oracle=v, E_char=reference, abs_err=abs(v - reference))
         for M, v in zip(Ms, vals)
     )
     return ConvergenceStudy(rows=rows, observed_order=order, richardson=rich)

@@ -139,6 +139,13 @@ class TestExitCodes:
     def test_bad_sweep_spec(self):
         assert main(["bands", "--cosA", "0.7", "--alpha-sweep", "nope"]) == 2
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-directory", "a-directory"])
+    def test_unwritable_out_is_a_configuration_error(self, tmp_path, target, capsys):
+        # both ended in an OSError traceback and exit 1
+        out = tmp_path / target
+        assert main(["bands", "--cosA", "0.7", "--alpha", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
     @pytest.mark.parametrize("sweep", ["0:1:1e-300", "0:1:1e-320", "0:1:1e-7", "-1e308:1e308:1e-5", "0:100001:1"])
     def test_unbounded_sweep_is_a_configuration_error(self, sweep, capsys):
         # 1e-300 overflowed np.arange, and 1e-7 started 10^7 first_band calls

@@ -62,6 +62,14 @@ class TestAssembly:
         M = _sparse_pencil(op)[1].toarray()
         assert np.linalg.eigvalsh(M).min() > 0
 
+    def test_couplings_are_centered_python_floats(self, p06):
+        # eigen_count's pivot loop runs on them, and must not run on numpy scalars
+        chain = TruncatedChain(11, 64, p06)
+        got = chain.couplings((np.float64(-1.5), 2.0))
+        assert got == [1.0] * 4 + [-0.5, 3.0] + [1.0] * 4
+        assert all(type(c) is float for c in got)
+        assert chain.couplings(()) == [1.0] * 10
+
     def test_dimension(self, p06):
         chain = TruncatedChain(9, 64, p06)
         assert chain.dim == 2 * 9 * 63 + 8
@@ -82,8 +90,6 @@ class TestAssembly:
         numpy_ints = TruncatedChain(np.int64(3), np.int32(64), p06)
         assert assemble(numpy_ints, ()).dim == numpy_ints.dim == 380
         assert TruncatedChain(3, 64, p06).pattern_start(0) == 2   # an empty pattern fits any chain
-        # a pattern no other test assembles, so the shared operators cannot
-        # answer before the cap is checked
         chain = TruncatedChain(9, 64, p06)
         monkeypatch.setattr(oracle, "MAX_DIM", chain.dim)
         assert assemble(chain, [0.375]).dim == oracle.MAX_DIM
@@ -310,7 +316,7 @@ class TestBandProducts:
         want = spectrum_window(op, -3.0, 0.2)
         monkeypatch.setattr(spla, "eigsh", lambda A, *args, **kwargs: eigsh(
             spla.LinearOperator(A.shape, matvec=refuse, dtype=A.dtype), *args, **kwargs))
-        got = spectrum_window(dataclasses.replace(op), -3.0, 0.2)
+        got = spectrum_window(op, -3.0, 0.2)
         assert len(want[0]) == 2
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -645,10 +651,9 @@ class TestSpectra:
         assert len(want) >= op.chain.n_rings
 
     def test_sparse_path_repeats_exactly(self, p06):
-        # the fixed ARPACK start vector makes repeated solves bit-identical;
-        # two operator objects, so the second is solved, not recalled
+        # the fixed ARPACK start vector makes repeated solves bit-identical
         op = assemble(TruncatedChain(11, 64, p06), [-2.0])
-        (v1, _), (v2, _) = (spectrum_window(o, -3.0, 0.5) for o in (op, dataclasses.replace(op)))
+        (v1, _), (v2, _) = (spectrum_window(op, -3.0, 0.5) for _ in range(2))
         assert v1 is not v2
         assert len(v1) > 0 and np.array_equal(v1, v2)
 
@@ -734,8 +739,7 @@ class TestSpectra:
         def never(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        # a fresh copy: other tests solve this window on the shared operator
-        op = dataclasses.replace(assemble(TruncatedChain(9, 64, p06), [0.0]))
+        op = assemble(TruncatedChain(9, 64, p06), [0.0])
         monkeypatch.setattr(spla, "eigsh", never)
         with pytest.raises(SolverNoConvergence, match="cannot resolve"):
             spectrum_window(op, 0.9, 1.1)
@@ -757,56 +761,80 @@ class TestSpectra:
 
 
 class TestReuse:
-    """assemble shares operators and spectrum_window memoises windows."""
+    """bulk_states memoises the windows of one configuration by value."""
 
     @pytest.fixture
-    def solves(self, monkeypatch):
+    def eigsh_calls(self, monkeypatch):
         import scipy.sparse.linalg as spla
 
         from ringchain import oracle
 
-        counts = {"eigsh": 0, "eigen_count": 0}
+        calls = []
+        eigsh = spla.eigsh
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted(*args, **kwargs):
+            calls.append(kwargs["sigma"])
+            return eigsh(*args, **kwargs)
 
-        monkeypatch.setattr(spla, "eigsh", counted("eigsh", spla.eigsh))
-        monkeypatch.setattr(oracle, "eigen_count", counted("eigen_count", oracle.eigen_count))
-        return counts
+        monkeypatch.setattr(spla, "eigsh", counted)
+        oracle._bulk_states.cache_clear()
+        return calls
 
-    def test_spurious_check_after_study_solves_nothing(self, p06, gap0_state, solves):
+    def test_spurious_check_after_study_solves_nothing(self, p06, eigsh_calls):
+        # the benchmark's order on one configuration: each root's study and
+        # spurious-state check, then the first root's check again, as its
+        # known-defect check does; the checks reuse the finest level's solve
         from ringchain import crosscheck
 
-        _, state = gap0_state
-        # a ring count and window that no other test solves
-        window, levels = (state.E - 0.09, state.E + 0.11), (64, 96, 128)
-        convergence_study(p06, [-2.0], levels, 11, window, reference=state.E)
-        assert solves["eigsh"] == 3 and solves["eigen_count"] >= 6
-        before = dict(solves)
-        assert crosscheck._check_spurious(p06, (-2.0,), 11, 128, window, [state.E], crosscheck.TOL_RAW)
-        assert solves == before
+        gammas, levels, rings = (-2.0,), (64, 96, 128), 11
+        layout = band_edges(p06, 12.0)
+        found = crosscheck.admissible_roots(p06, gammas, layout)
+        assert [gi for gi, _, _ in found] == [0, 2]
+        roots = [state.E for _, state, _ in found]
+        windows = [crosscheck._gap_window(layout.gaps[gi], layout, state.E) for gi, state, _ in found]
 
-    def test_assemble_shares_by_value(self, p06):
-        chain = TruncatedChain(9, 64, p06)
-        op = assemble(chain, [-1.25])
-        assert assemble(TruncatedChain(9, 64, p06), (np.float64(-1.25),)) is op
+        def spurious(i):
+            return crosscheck._check_spurious(p06, gammas, rings, max(levels), windows[i], [roots[i]],
+                                              crosscheck.TOL_RAW)
+
+        for i in range(2):
+            convergence_study(p06, list(gammas), levels, rings, windows[i], reference=roots[i])
+            assert len(eigsh_calls) == 3 * (i + 1)
+            spurious(i)
+            assert len(eigsh_calls) == 3 * (i + 1)
+        spurious(0)
+        assert len(eigsh_calls) == 6
+
+    def test_bulk_states_share_by_value(self, p06, eigsh_calls):
+        from ringchain.oracle import bulk_states
+
+        bulk, n_edge = bulk_states(TruncatedChain(9, 64, p06), [-1.25], -3.0, 0.5)
+        for gammas in ((-1.25,), (np.float64(-1.25),), [np.float64(-1.25)], np.array([-1.25])):
+            again, again_edge = bulk_states(TruncatedChain(9, 64, p06), gammas, -3.0, 0.5)
+            assert again is bulk and again_edge == n_edge
+        assert len(eigsh_calls) == 1
+        assert bulk_states(TruncatedChain(9, 64, p06), [-1.5], -3.0, 0.5)[0] is not bulk
+        assert bulk_states(TruncatedChain(9, 64, p06), [-1.25], -3.0, 0.6)[0] is not bulk
+        assert len(eigsh_calls) == 3
+        op = assemble(TruncatedChain(9, 64, p06), (np.float64(-1.25),))
         assert op.gammas == (-1.25,) and type(op.gammas[0]) is float
-        assert assemble(chain, [-1.5]) is not op
 
-    def test_results_are_read_only(self, p06):
-        op = assemble(TruncatedChain(9, 64, p06), [-1.25])
+    def test_results_are_read_only(self, p06, eigsh_calls):
+        from ringchain.oracle import EDGE_SCORE, bulk_states
+
+        chain = TruncatedChain(9, 64, p06)
+        bulk, n_edge = bulk_states(chain, [-1.25], -3.0, 0.5)
+        op = assemble(chain, [-1.25])
         vals, vecs = spectrum_window(op, -3.0, 0.5)
-        assert spectrum_window(op, -3.0, 0.5)[0] is vals
-        for a in (vals, vecs, op.kd, op.k1, op.k2, op.md, op.m1, op.m2):
+        scores = localization_scores(op, vecs)
+        assert len(bulk) > 0 and np.array_equal(bulk, vals[scores <= EDGE_SCORE])
+        assert n_edge == np.count_nonzero(scores > EDGE_SCORE)
+        for a in (bulk, op.kd, op.k1, op.k2, op.md, op.m1, op.m2):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
-    def test_replaced_operator_has_its_own_memo(self, p06):
-        # a copy with another pattern must solve its own pencil, not
-        # recall the original's windows or reuse its bands
+    def test_replaced_operator_solves_its_own_pencil(self, p06):
+        # a copy with another pattern must build its own bands
         op = assemble(TruncatedChain(9, 64, p06), [-1.25])
         v1, _ = spectrum_window(op, -3.0, 0.5)
         shifted = dataclasses.replace(op, gammas=(-2.5,))
@@ -875,7 +903,7 @@ class TestConvergence:
         from ringchain.errors import FitFailed
 
         with pytest.raises(FitFailed):
-            convergence_study(p06, [-2.0], [64, 128], 9, (state.E - 0.1, state.E + 0.1))
+            convergence_study(p06, [-2.0], [64, 128], 9, (state.E - 0.1, state.E + 0.1), reference=state.E)
 
     def test_requires_three_distinct_levels(self, p06, gap0_state):
         # a repeated resolution used to reach richardson_limit and divide by r - 1 = 0
@@ -891,14 +919,6 @@ class TestConvergence:
         assert study == distinct
         with pytest.raises(InvalidParameter):   # was cut to 64 in silence
             convergence_study(p06, [-2.0], [64.5, 96, 128], 9, window, reference=state.E)
-
-    def test_csv_rows(self, p06, gap0_state):
-        _, state = gap0_state
-        study = convergence_study(
-            p06, [-2.0], [64, 96, 128], 9, (state.E - 0.1, state.E + 0.1), reference=state.E
-        )
-        rows = study.to_csv_rows()
-        assert len(rows) == 3 and len(rows[0]) == 5
 
 
 class TestCrossCheck:
