@@ -7,11 +7,8 @@ from .band import (
     SpectrumLayout,
     band_edges,
     first_band,
-    flat_band_eigenfunction,
     flat_band_energies,
     flux_regime,
-    in_spectrum,
-    quasimomentum,
 )
 from .core import (
     ChainParams,
@@ -37,9 +34,7 @@ from .impurity import (
     ImpurityState,
     PerturbationPattern,
     char_residual,
-    count_states_per_gap,
     f_pm,
-    identical_conditions,
     solve_gap,
 )
 from .asymptotics import (
@@ -53,18 +48,7 @@ from .asymptotics import (
     weak_gap_distance_scaling,
     weak_predictor,
 )
-from .transfer import (
-    PQ_SEED,
-    LatticeSolution,
-    bound_state_lattice,
-    eigenvectors,
-    identical_closed_form,
-    local_matrix,
-    pq_advance,
-    product_matrix,
-    reconstruct_edge,
-    vertex_condition_residual,
-)
+from .transfer import PQ_SEED, pq_advance
 
 # the discretization oracle needs scipy.sparse, so it and its names are
 # imported on first use, and the analytic modules load with numpy alone

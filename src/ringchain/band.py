@@ -10,14 +10,13 @@ Gap 0 is the semi-infinite piece below the first band.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ChainParams, find_roots, kernels, on_flat_band, xi_background
-from .errors import CutoffTooSmall, HalfIntegerFlux, InvalidParameter, require_integer
+from .errors import CutoffTooSmall, HalfIntegerFlux, InvalidParameter
 
 TOL_ROOT = 1e-10
 
@@ -76,15 +75,6 @@ class SpectrumLayout:
             "gaps": [[json_endpoint(lo), json_endpoint(hi)] for lo, hi in self.gaps],
             "flat": [{"E": fb.E, "tag": fb.tag} for fb in self.flat_bands],
         }
-
-
-def in_spectrum(E: float, params: ChainParams) -> bool:
-    """Membership of E in the absolutely continuous spectrum: |xi| <= 1.
-
-    Flat-band energies are handled separately and report False here.
-    Raises HalfIntegerFlux in the pure-point regime.
-    """
-    return abs(xi_background(E, params)) <= 1.0
 
 
 def negative_scan_floor(params: ChainParams) -> float:
@@ -234,70 +224,3 @@ def flat_band_energies(params: ChainParams, cutoff: float) -> list[float]:
         return c + 0.25 * params.alpha * s
 
     return sorted(find_roots(numerator, _scan_grid(params, cutoff), TOL_ROOT) + flats)
-
-
-def quasimomentum(E: float, params: ChainParams) -> float | None:
-    """Bloch phase theta in [-pi, pi) with cos(theta) = xi(E); None in gaps.
-
-    The two Floquet roots are e^{+-i theta}; the non-negative one is
-    returned (theta = -pi stands for xi = -1).
-    """
-    x = xi_background(E, params)
-    if abs(x) > 1.0:
-        return None
-    theta = math.acos(max(-1.0, min(1.0, x)))
-    return -math.pi if theta >= math.pi else theta
-
-
-@dataclass(frozen=True, eq=False)   # holds an array: equal means identical
-class FlatBandEigenfunction:
-    """Sampled compactly supported eigenfunction at E = n^2.
-
-    Components live on one ring (integer flux) or two adjacent rings,
-    each parametrized by x in [0, pi]; 'upper'/'lower' distinguish the
-    two halfcircles.  Vanishes at every vertex.  The four components are
-    sampled at x on first use.
-    """
-
-    n: int
-    params: ChainParams
-    x: np.ndarray
-    single_ring: bool
-
-    @functools.cached_property
-    def upper_left(self) -> np.ndarray:
-        return self.evaluate("upper", 0, self.x)
-
-    @functools.cached_property
-    def lower_left(self) -> np.ndarray:
-        return self.evaluate("lower", 0, self.x)
-
-    @functools.cached_property
-    def upper_right(self) -> np.ndarray:
-        return self.evaluate("upper", 1, self.x)
-
-    @functools.cached_property
-    def lower_right(self) -> np.ndarray:
-        return self.evaluate("lower", 1, self.x)
-
-    def evaluate(self, component: str, ring: int, x) -> np.ndarray:
-        """Analytic values of one component; usable for refinement studies."""
-        x = np.asarray(x, dtype=float)
-        A, n = self.params.A, self.n
-        sin_nx = np.sin(n * x)
-        if ring == 0:
-            if component == "upper":
-                return np.exp(-1j * A * x) * sin_nx
-            return -np.exp(1j * A * x) * sin_nx
-        if self.single_ring:
-            return np.zeros_like(x, dtype=complex)
-        if component == "upper":
-            return (-1.0) ** (n + 1) * np.exp(1j * A * (math.pi - x)) * sin_nx
-        return (-1.0) ** n * np.exp(1j * A * (x - math.pi)) * sin_nx
-
-
-def flat_band_eigenfunction(n: int, params: ChainParams, samples: int = 257) -> FlatBandEigenfunction:
-    """Explicit eigenfunction at E = n^2 on one or two adjacent rings."""
-    require_integer(n, 1, "n")
-    x = np.linspace(0.0, math.pi, samples)
-    return FlatBandEigenfunction(n=n, params=params, x=x, single_ring=params.is_non_magnetic)

@@ -209,6 +209,8 @@ def cmd_weak(args) -> int:
     params = _params_from(args)
     gammas = tuple(_parse_floats(args.gamma))
     eps_list = _parse_floats(args.eps)
+    if not eps_list:
+        raise ConfigError("--eps needs at least one value")
     gap = _gap(params, args)
 
     per_eps = []
@@ -241,6 +243,8 @@ def cmd_weak(args) -> int:
 def cmd_distant(args) -> int:
     params = _params_from(args)
     n_values = _parse_floats(args.n)
+    if not n_values:
+        raise ConfigError("--n needs at least one value")
     if not all(n.is_integer() for n in n_values):
         raise ConfigError(f"--n takes whole ring counts: {args.n!r}")
     n_list = [int(n) for n in n_values]

@@ -62,8 +62,6 @@ from .errors import FlatBandPole, HalfIntegerFlux, InsideBand, InvalidParameter
 TOL_HALF = 1e-12
 # |k - round(k)| below this flags the excluded set E = n^2
 TOL_FLAT = 1e-12
-# 4 eps, the smallest relative tolerance scipy's brentq accepts (its default)
-RTOL_MIN = 4 * 2.0**-52
 # relative brentq tolerance of the root polishes
 RTOL_ROOT = 8.9e-16
 # brentq's iteration limit (scipy's default)
@@ -302,7 +300,7 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
 
     Returns an end where f is exactly 0.  Raises ValueError for ends of
     one sign and where f is NaN; RuntimeError after _MAXITER iterations.
-    f is called on floats only.  xtol > 0 and rtol >= RTOL_MIN, as scipy
+    f is called on floats only.  xtol > 0 and rtol >= 4 eps, as scipy
     requires, are the caller's to keep.
     """
     lane = brent_lane(xa, xb, xtol, rtol)

@@ -7,9 +7,10 @@ consecutive vertices is the quadratic
 
 evaluated at lambda = lambda_small(E); its roots inside gap pieces are the
 impurity eigenvalues.  Specialized closed forms: one vertex reduces to
-f_single(E) = gamma_1, two vertices to the pair f_-/f_+ (depending only on
-gamma_1 + gamma_2 and (gamma_1 - gamma_2)^2), and identical arrays to a
-cot/tan pair in the Chebyshev angle of xi_1.
+f_single(E) = gamma_1, and two vertices to the pair f_-/f_+ (depending only
+on gamma_1 + gamma_2 and (gamma_1 - gamma_2)^2).  The paper's third, a
+cot/tan pair in the Chebyshev angle of xi_1 for identical arrays, is no
+code here: the tests hold it as a reference for char_residual's roots.
 
 solve_gaps solves all gap pieces of a pattern with one call of core's root
 enumerator, find_roots: one grid and one char_residual scan over every
@@ -22,7 +23,6 @@ is IEEE arithmetic, which numpy rounds as Python does.
 
 from __future__ import annotations
 
-import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -228,46 +228,6 @@ def f_pm(E: float, gamma1: float, gamma2: float, params: ChainParams) -> tuple[f
     d = (gamma1 - gamma2) * s / (4.0 * params.cos_flux)
     root = math.sqrt(1.0 + d * d)
     return f - base * (x - root), f - base * (x + root)
-
-
-def identical_conditions(E: float, gamma: float, m: int, params: ChainParams) -> tuple[float, float]:
-    """Characteristic conditions for m identical impurities of strength gamma.
-
-    Returns the two right-hand sides (cot branch, tan branch); E is a
-    bound state iff gamma equals one of them.  The Chebyshev angle phi
-    with cos(phi) = xi_1 continues to a hyperbolic branch for |xi_1| > 1;
-    interior poles of cot/tan (at most m-2 per gap) surface as +-inf.
-    """
-    if m < 2:
-        raise InvalidParameter("identical-array conditions need m >= 2")
-    if on_flat_band(E):
-        raise FlatBandPole(f"conditions undefined at E = {E}")
-    x1 = xi(E, params.alpha + gamma, params)
-    phi = cmath.acos(complex(x1))
-    half = 0.5 * (m - 1) * phi
-    sin_half, cos_half = cmath.sin(half), cmath.cos(half)
-    sin_phi = cmath.sin(phi)
-    base = 4.0 * params.cos_flux / s_kernel(E)
-    f = f_single(E, params)
-    if abs(sin_half) < 1e-300:
-        cot_branch = math.copysign(math.inf, -base)
-    else:
-        cot_branch = f - base * (cos_half / sin_half * sin_phi).real
-    if abs(cos_half) < 1e-300:
-        tan_branch = math.copysign(math.inf, base)
-    else:
-        tan_branch = f + base * (sin_half / cos_half * sin_phi).real
-    return cot_branch, tan_branch
-
-
-def count_states_per_gap(
-    pattern: PerturbationPattern,
-    layout: band_mod.SpectrumLayout,
-    params: ChainParams,
-) -> list[int]:
-    """Number of bound states in each gap piece of the layout."""
-    found = [s.gap_index for s in solve_gaps(pattern, layout.gaps, params)]
-    return [found.count(i) for i in range(len(layout.gaps))]
 
 
 def all_states(

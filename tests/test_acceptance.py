@@ -19,10 +19,8 @@ from ringchain import (
     PerturbationPattern,
     WeakCouplingProblem,
     band_edges,
-    count_states_per_gap,
     distant_solve,
     first_band,
-    in_spectrum,
     lambda_small,
     solve_gap,
     splitting_rate,
@@ -30,10 +28,18 @@ from ringchain import (
     weak_gap_distance_scaling,
     weak_predictor,
 )
-from ringchain import identical_closed_form, local_matrix, product_matrix
 from ringchain import crosscheck
 from ringchain.impurity import all_states
-from ringchain.transfer import bound_state_lattice, ring_l2_norm, vertex_condition_residual
+from tests.paper_forms import (
+    bound_state_lattice,
+    count_states_per_gap,
+    identical_closed_form,
+    in_spectrum,
+    local_matrix,
+    product_matrix,
+    ring_l2_norm,
+    vertex_condition_residual,
+)
 from tests.test_transfer import det, entries, naive_product
 
 

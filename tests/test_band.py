@@ -12,16 +12,14 @@ from ringchain import (
     HalfIntegerFlux,
     band_edges,
     first_band,
-    flat_band_eigenfunction,
     flat_band_energies,
     flux_regime,
-    in_spectrum,
-    quasimomentum,
     xi_background,
 )
 from ringchain import band
 from ringchain.band import MAX_CUTOFF, REGIME_HALF_INTEGER, REGIME_MAGNETIC, REGIME_NON_MAGNETIC, half_integer_layout
 from ringchain.errors import InvalidParameter
+from tests.paper_forms import flat_band_eigenfunction, in_spectrum, quasimomentum
 
 
 def _assert_gaps_meet_only_on_the_spectrum(layout):

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from ringchain import ChainParams, PerturbationPattern, band_edges, core
-from ringchain.core import RTOL_MIN, RTOL_ROOT, brent_lane, brentq, f_single, lockstep, xi_background
+from ringchain.core import RTOL_ROOT, brent_lane, brentq, f_single, lockstep, xi_background
 from ringchain.errors import FlatBandPole, InsideBand
 from ringchain.impurity import FLOAT_LANES, batch_residual, char_residual
+
+# 4 eps, the smallest relative tolerance scipy's brentq accepts (its default)
+RTOL_MIN = 4 * 2.0**-52
 
 # (xtol, rtol) of the package's polishes: band edges, bound states, E*
 TOLERANCES = st.sampled_from([(1e-10, RTOL_ROOT), (1e-13, RTOL_ROOT), (1e-14, RTOL_MIN), (2e-12, RTOL_MIN)])

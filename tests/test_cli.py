@@ -146,6 +146,21 @@ class TestExitCodes:
         assert main(["bands", "--cosA", "0.7", "--alpha", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", ","], "--eps"),
+            (["weak", "--cosA", "0.7", "--alpha", "1", "--gamma", "-1", "--eps", ""], "--eps"),
+            (["distant", "--cosA", "0.7", "--alpha", "1", "--g1", "-1", "--g2", "-1", "--n", ","], "--n"),
+            (["distant", "--cosA", "0.7", "--alpha", "1", "--g1", "-1", "--g2", "-1", "--n", ""], "--n"),
+        ],
+        ids=["eps-comma", "eps-blank", "n-comma", "n-blank"],
+    )
+    def test_empty_list_is_a_configuration_error(self, argv, option, capsys):
+        # each printed an empty per_eps or per_n and exited 0
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {option} needs at least one value\n"
+
     @pytest.mark.parametrize("sweep", ["0:1:1e-300", "0:1:1e-320", "0:1:1e-7", "-1e308:1e308:1e-5", "0:100001:1"])
     def test_unbounded_sweep_is_a_configuration_error(self, sweep, capsys):
         # 1e-300 overflowed np.arange, and 1e-7 started 10^7 first_band calls

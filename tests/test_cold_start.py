@@ -15,17 +15,13 @@ SRC = str(Path(ringchain.__file__).resolve().parents[1])
 
 PUBLIC_NAMES = [
     "ChainParams", "CutoffTooSmall", "DimensionOverflow", "DiscreteOperator", "DistantPair", "FitFailed",
-    "FitReport", "FlatBand", "FlatBandPole", "HalfIntegerFlux", "ImpurityState", "InsideBand",
-    "LatticeSolution", "PQ_SEED", "PerturbationPattern", "RingChainError", "SolverNoConvergence",
-    "SpectrumLayout", "TruncatedChain", "WeakCouplingProblem", "assemble", "asymptotics", "band",
-    "band_edges", "bound_state_lattice", "c_kernel", "char_residual", "convergence_study", "core",
-    "count_states_per_gap", "distant_residual", "distant_solve", "eigenvectors", "errors", "f_pm",
-    "f_single", "first_band", "flat_band_eigenfunction", "flat_band_energies", "flux_regime",
-    "identical_closed_form", "identical_conditions", "impurity", "in_spectrum", "lambda_pair",
-    "lambda_small", "local_matrix", "oracle", "pq_advance", "product_matrix", "quasimomentum",
-    "reconstruct_edge", "s_kernel", "solve_gap", "spectrum_window", "splitting_rate", "transfer",
-    "vertex_condition_residual", "weak_exact", "weak_gap_distance_scaling", "weak_predictor", "xi",
-    "xi_background",
+    "FitReport", "FlatBand", "FlatBandPole", "HalfIntegerFlux", "ImpurityState", "InsideBand", "PQ_SEED",
+    "PerturbationPattern", "RingChainError", "SolverNoConvergence", "SpectrumLayout", "TruncatedChain",
+    "WeakCouplingProblem", "assemble", "asymptotics", "band", "band_edges", "c_kernel", "char_residual",
+    "convergence_study", "core", "distant_residual", "distant_solve", "errors", "f_pm", "f_single",
+    "first_band", "flat_band_energies", "flux_regime", "impurity", "lambda_pair", "lambda_small", "oracle",
+    "pq_advance", "s_kernel", "solve_gap", "spectrum_window", "splitting_rate", "transfer", "weak_exact",
+    "weak_gap_distance_scaling", "weak_predictor", "xi", "xi_background",
 ]
 
 PROBE = """

@@ -9,16 +9,13 @@ from ringchain import (
     PerturbationPattern,
     band_edges,
     distant_solve,
-    flat_band_eigenfunction,
-    identical_closed_form,
-    identical_conditions,
-    product_matrix,
     solve_gap,
     splitting_rate,
 )
 from ringchain.crosscheck import run_cases
 from ringchain.errors import FitFailed, InvalidParameter
 from ringchain.oracle import richardson_limit
+from tests.paper_forms import flat_band_eigenfunction, identical_closed_form, identical_conditions, product_matrix
 
 P = ChainParams.from_cos_flux(0.7, 1.0)
 

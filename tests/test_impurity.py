@@ -10,17 +10,21 @@ from ringchain import (
     PerturbationPattern,
     band_edges,
     char_residual,
-    count_states_per_gap,
     f_pm,
     f_single,
-    identical_conditions,
     lambda_small,
     solve_gap,
 )
 from ringchain import impurity
 from ringchain.core import gap_surd, kernels, s_kernel, xi
 from ringchain.impurity import all_states, results_json_dict
-from ringchain.transfer import bound_state_lattice, vertex_condition_residual, ring_l2_norm
+from tests.paper_forms import (
+    bound_state_lattice,
+    count_states_per_gap,
+    identical_conditions,
+    ring_l2_norm,
+    vertex_condition_residual,
+)
 from tests.test_core import coupling_for_xi
 from tests.test_kernels_vec import PARAMS, PATTERN_IDS, PATTERNS, float_on_grid
 

@@ -27,7 +27,7 @@ from ringchain.core import (
 )
 from ringchain.errors import FlatBandPole, HalfIntegerFlux, InsideBand
 from ringchain.impurity import batch_residual, char_residual
-from ringchain.transfer import reconstruct_edge
+from tests.paper_forms import reconstruct_edge
 
 # E < 0, E = 0, E > 0, every flat band n^2 <= 36 and points just off them
 GRID = np.unique(

@@ -22,7 +22,6 @@ from ringchain import (
     PerturbationPattern,
     band_edges,
     char_residual,
-    count_states_per_gap,
     crosscheck,
     solve_gap,
 )
@@ -31,6 +30,7 @@ from ringchain.asymptotics import DistantPair, WeakCouplingProblem, distant_solv
 from ringchain.core import find_roots, lambda_small
 from ringchain.errors import InvalidParameter
 from ringchain.impurity import all_states, batch_residual, interior_states, solve_gaps
+from tests.paper_forms import count_states_per_gap
 
 
 def reference_gap_grid(lo, hi, n_base):

@@ -10,22 +10,27 @@ from ringchain import (
     FlatBandPole,
     InsideBand,
     PQ_SEED,
-    bound_state_lattice,
-    eigenvectors,
-    identical_closed_form,
     lambda_small,
-    local_matrix,
     pq_advance,
-    product_matrix,
-    reconstruct_edge,
-    vertex_condition_residual,
     xi,
     xi_background,
 )
 from ringchain.core import c_kernel, s_kernel
 from ringchain.errors import InvalidParameter
 from ringchain.impurity import PerturbationPattern, solve_gap
-from ringchain.transfer import chebyshev_u, edge_quasiderivatives, ring_l2_norm
+from tests.paper_forms import (
+    LatticeSolution,
+    bound_state_lattice,
+    chebyshev_u,
+    edge_quasiderivatives,
+    eigenvectors,
+    identical_closed_form,
+    local_matrix,
+    product_matrix,
+    reconstruct_edge,
+    ring_l2_norm,
+    vertex_condition_residual,
+)
 from tests.test_core import coupling_for_xi
 
 
@@ -275,8 +280,6 @@ class TestVertexConditions:
         assert bound_state_lattice(E, gammas, params07, margin=np.int64(3)).value(2) == psi2
 
     def test_zero_lattice_zero_residual(self, params06):
-        from ringchain import LatticeSolution
-
         lat = LatticeSolution(E=-0.5, j_start=-2, values=np.zeros(7))
         assert vertex_condition_residual(-0.5, lat, [0.5], params06) == 0.0
 
@@ -286,8 +289,6 @@ class TestVertexConditions:
         lat = bound_state_lattice(state.E, pattern.gammas, params06, margin=6)
         bad = lat.values.copy()
         bad[len(bad) // 2] *= 1.1  # violate the difference relation at one site
-        from ringchain import LatticeSolution
-
         lat_bad = LatticeSolution(E=state.E, j_start=lat.j_start, values=bad)
         assert vertex_condition_residual(state.E, lat_bad, pattern.gammas, params06) > 1e-3
 
